@@ -1,45 +1,37 @@
-//! PR5 scaling bench: persistent-pool vs scope-spawn launches, tiled vs
-//! blocked kernels at 1 and N threads, and batched serving throughput per
-//! backend — written to `BENCH_PR5.json` and gated in CI by
-//! `DSX_POOL_MIN_SPEEDUP` / `DSX_TILED_MIN_SPEEDUP` (multi-core hosts
-//! only; see `dsx_bench::pr5` for the knobs and skip rules).
+//! PR5 scaling bench: persistent-pool vs scope-spawn launches, the blocked
+//! kernels at 1 and N threads, and batched serving throughput — written to
+//! `BENCH_PR5.json` and gated in CI by `DSX_POOL_MIN_SPEEDUP` (multi-core
+//! hosts only; see `dsx_bench::pr5` for the knobs and skip rules).
 
 use dsx_bench::pr5::{self, Pr5Report, ServeRow};
 use dsx_core::BackendKind;
 use dsx_serve::{build_serving_model, run_load, serving_spec, LoadConfig, ServeConfig};
-use std::sync::Arc;
 use std::time::Duration;
 
 const KERNEL_SAMPLES: usize = 11;
 const POOL_REPEATS: usize = 11;
 const SERVE_REQUESTS: usize = 64;
 
-/// Batched serving throughput for the blocked and tiled backends: one
-/// engine worker, `max_batch = 8`, kernel threads at the hardware default
-/// so the tiled backend's pool parallelism shows up in the comparison.
+/// Batched serving throughput on the blocked backend: one engine worker,
+/// `max_batch = 8`, kernel threads at the hardware default.
 fn measure_serve() -> Vec<ServeRow> {
-    let spec = serving_spec();
-    [BackendKind::Blocked, BackendKind::Tiled]
-        .into_iter()
-        .map(|backend| {
-            let model = build_serving_model(&spec, backend);
-            let snapshot = run_load(
-                Arc::clone(&model),
-                &LoadConfig {
-                    requests: SERVE_REQUESTS,
-                    concurrency: 8,
-                    engine: ServeConfig::default()
-                        .with_max_batch(8)
-                        .with_max_wait(Duration::from_micros(2000))
-                        .with_workers(1),
-                },
-            );
-            ServeRow {
-                backend,
-                batched_rps: snapshot.throughput_rps,
-            }
-        })
-        .collect()
+    let backend = BackendKind::Blocked;
+    let model = build_serving_model(&serving_spec(), backend);
+    let snapshot = run_load(
+        model,
+        &LoadConfig {
+            requests: SERVE_REQUESTS,
+            concurrency: 8,
+            engine: ServeConfig::default()
+                .with_max_batch(8)
+                .with_max_wait(Duration::from_micros(2000))
+                .with_workers(1),
+        },
+    );
+    vec![ServeRow {
+        backend,
+        batched_rps: snapshot.throughput_rps,
+    }]
 }
 
 fn main() {

@@ -6,22 +6,17 @@
 //! --threads N          pool thread count (0 = hardware default); exercises
 //!                      the persistent worker pool when N > 1
 //! --backend KIND       probe only this backend (repeatable;
-//!                      naive|blocked|tiled|swsum). Without it, the full
+//!                      naive|blocked). Without it, the full
 //!                      BENCH_PR2 report runs (all backends + JSON + gate).
-//! --dense              probe the dense `Conv2d` forward (the BENCH_PR6
-//!                      workloads) instead of the SCC kernels
 //! --samples N          timed samples per kernel (default 30)
 //! ```
 
-use dsx_bench::{pr6, report};
+use dsx_bench::report;
 use dsx_core::BackendKind;
-use dsx_nn::Layer;
-use std::hint::black_box;
 
 struct Cli {
     threads: Option<usize>,
     backends: Vec<BackendKind>,
-    dense: bool,
     samples: usize,
 }
 
@@ -29,7 +24,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         threads: None,
         backends: Vec::new(),
-        dense: false,
         samples: report::DEFAULT_SAMPLES,
     };
     let mut iter = args.iter();
@@ -50,7 +44,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--backend" => cli
                 .backends
                 .push(value("--backend")?.parse::<BackendKind>()?),
-            "--dense" => cli.dense = true,
             "--samples" => {
                 cli.samples = value("--samples")?
                     .parse::<usize>()
@@ -62,7 +55,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             other => {
                 return Err(format!(
                     "unknown flag '{other}' (flags: --threads N, --backend \
-                     <naive|blocked|tiled|swsum>, --dense, --samples N)"
+                     <naive|blocked>, --samples N)"
                 ))
             }
         }
@@ -86,11 +79,6 @@ fn main() {
              multi-threaded launch)",
             dsx_tensor::num_threads()
         );
-    }
-    if cli.dense {
-        probe_dense(&cli);
-        print_pool_stats(&cli);
-        return;
     }
     if cli.backends.is_empty() {
         // Default behaviour: the full BENCH_PR2 report (all backends, JSON
@@ -117,36 +105,5 @@ fn main() {
 fn print_pool_stats(cli: &Cli) {
     if cli.threads.is_some() {
         println!("pool stats: {}", dsx_tensor::pool::stats());
-    }
-}
-
-/// Dense-conv probe: cache-free `Conv2d` forward medians on the BENCH_PR6
-/// workloads for the requested backends (all four when none are given), at
-/// the current pool thread count.
-fn probe_dense(cli: &Cli) {
-    let backends: Vec<BackendKind> = if cli.backends.is_empty() {
-        BackendKind::ALL.to_vec()
-    } else {
-        cli.backends.clone()
-    };
-    println!(
-        "dense conv probe ({} samples/point, {} pool threads)",
-        cli.samples,
-        dsx_tensor::num_threads()
-    );
-    for shape in pr6::DENSE_WORKLOADS {
-        let input = shape.input();
-        for &backend in &backends {
-            let layer = shape.layer(backend);
-            let median = report::median_ns(cli.samples, || {
-                black_box(layer.infer(black_box(&input)));
-            });
-            println!(
-                "  {:<5} {:<8} median {:>12.0} ns",
-                shape.label,
-                backend.name(),
-                median
-            );
-        }
     }
 }

@@ -10,7 +10,6 @@ use dsx_core::{BackendKind, SccConfig, SccImplementation, SlidingChannelConv2d};
 use dsx_tensor::Tensor;
 
 pub mod pr5;
-pub mod pr6;
 pub mod report;
 
 /// The default CIFAR-scale workload shape, shared by the benches and the

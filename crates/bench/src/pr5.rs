@@ -1,36 +1,30 @@
-//! BENCH_PR5: pool + tiled-backend scaling report for the CI perf gate.
+//! BENCH_PR5: pool scaling report for the CI perf gate.
 //!
-//! Three comparisons, rendered into one JSON document (written to
+//! Three measurements, rendered into one JSON document (written to
 //! `BENCH_PR5.json` at the repo root by the `pool_scaling` bench):
 //!
 //! 1. **Pool vs scope-spawn** — a multi-launch microbench: many back-to-back
 //!    `parallel_for_chunks` launches (the per-layer launch pattern of one
 //!    `infer`) on the persistent pool vs an inline replica of the historical
 //!    scope-spawn runtime that created fresh OS threads per call.
-//! 2. **Tiled vs blocked kernels** — SCC forward medians for the blocked
-//!    and tiled backends at 1 thread and at the machine's full thread
-//!    count, on the CIFAR-scale default workload and a large-plane workload
-//!    ([`LARGE_WORKLOAD`], 64×64 planes) where the tile scheduler is
-//!    designed to win.
-//! 3. **Serving** — batched throughput per backend (measured by the bench
-//!    binary through the serve engine and passed in as [`ServeRow`]s).
+//! 2. **Blocked kernel thread scaling** — SCC forward medians for the
+//!    blocked backend at 1 thread and at the machine's full thread count,
+//!    on the CIFAR-scale default workload and a large-plane workload
+//!    ([`LARGE_WORKLOAD`], 64×64 planes).
+//! 3. **Serving** — batched throughput on the blocked backend (measured by
+//!    the bench binary through the serve engine and passed in as
+//!    [`ServeRow`]s).
 //!
 //! Environment knobs (read by [`finish_report`]):
 //!
 //! * `DSX_PR5_BENCH_JSON` — output path (default `<repo>/BENCH_PR5.json`).
 //! * `DSX_POOL_MIN_SPEEDUP` — when set (CI: `1.2`), fail unless the pool
 //!   beats scope-spawn by that factor on the multi-launch microbench.
-//! * `DSX_TILED_MIN_SPEEDUP` — when set (CI: `0.95`, parity within
-//!   measurement noise), fail unless the tiled forward reaches that factor
-//!   of the blocked forward at equal (full) thread count on the
-//!   large-plane workload; the same knob also enforces the thread-scaling
-//!   floor — tiled at full threads must beat the single-threaded blocked
-//!   backend outright (≥ 1.0×).
 //!
-//! Both gates only engage on multi-core hosts
+//! The gate only engages on multi-core hosts
 //! (`available_parallelism() > 1`): on one core the pool and the baseline
-//! both degenerate to the inline path and thread scaling is unmeasurable,
-//! so a single-core container stays green by design.
+//! both degenerate to the inline path, so a single-core container stays
+//! green by design.
 
 use crate::report::median_ns;
 use crate::{shaped_workload, WorkloadShape, DEFAULT_WORKLOAD};
@@ -38,8 +32,7 @@ use dsx_core::{BackendKind, SccImplementation};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 
-/// Large-plane SCC workload (64×64 feature maps → four row strips per
-/// plane), the regime the tiled backend's scheduler targets.
+/// Large-plane SCC workload (64×64 feature maps).
 pub const LARGE_WORKLOAD: WorkloadShape = WorkloadShape {
     cin: 32,
     cout: 64,
@@ -132,36 +125,12 @@ fn find_forward(
 }
 
 impl Pr5Report {
-    /// Blocked-over-tiled forward ratio at equal (full) thread count on the
-    /// large-plane workload — the `DSX_TILED_MIN_SPEEDUP` gate metric.
-    pub fn tiled_vs_blocked_equal_threads(&self) -> Option<f64> {
-        let blocked = find_forward(self, "large", BackendKind::Blocked, self.cores)?;
-        let tiled = find_forward(self, "large", BackendKind::Tiled, self.cores)?;
-        (tiled > 0.0).then(|| blocked / tiled)
-    }
-
-    /// Tiled at full threads vs blocked at a single thread on the
-    /// large-plane workload (the tentpole's "tiled ≥ blocked
-    /// single-thread" sanity ratio).
-    pub fn tiled_multi_vs_blocked_single(&self) -> Option<f64> {
-        let blocked = find_forward(self, "large", BackendKind::Blocked, 1)?;
-        let tiled = find_forward(self, "large", BackendKind::Tiled, self.cores)?;
-        (tiled > 0.0).then(|| blocked / tiled)
-    }
-
-    /// Tiled-over-blocked batched serving throughput ratio.
-    pub fn tiled_vs_blocked_serve(&self) -> Option<f64> {
-        let blocked = self
-            .serve
-            .iter()
-            .find(|r| r.backend == BackendKind::Blocked)?
-            .batched_rps;
-        let tiled = self
-            .serve
-            .iter()
-            .find(|r| r.backend == BackendKind::Tiled)?
-            .batched_rps;
-        (blocked > 0.0).then(|| tiled / blocked)
+    /// Blocked forward at a single thread over blocked at full threads on
+    /// the large-plane workload: the blocked backend's thread scaling.
+    pub fn blocked_multi_vs_single(&self) -> Option<f64> {
+        let single = find_forward(self, "large", BackendKind::Blocked, 1)?;
+        let multi = find_forward(self, "large", BackendKind::Blocked, self.cores)?;
+        (multi > 0.0).then(|| single / multi)
     }
 }
 
@@ -187,7 +156,7 @@ fn scope_spawn_chunks(n: usize, min_chunk: usize, body: impl Fn(usize, usize) + 
     }
     let chunks = workers.min(n.div_ceil(min_chunk));
     let chunk_size = n.div_ceil(chunks);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for c in 0..chunks {
             let start = c * chunk_size;
             let end = ((c + 1) * chunk_size).min(n);
@@ -195,10 +164,9 @@ fn scope_spawn_chunks(n: usize, min_chunk: usize, body: impl Fn(usize, usize) + 
                 continue;
             }
             let body_ref = &body;
-            scope.spawn(move |_| body_ref(start, end));
+            scope.spawn(move || body_ref(start, end));
         }
-    })
-    .expect("scope-spawn baseline worker panicked");
+    });
 }
 
 /// Runs the multi-launch microbench: `repeats` bursts of
@@ -222,9 +190,9 @@ pub fn measure_pool(repeats: usize) -> PoolBench {
     }
 }
 
-/// Measures forward medians for the blocked and tiled backends at 1 thread
-/// and at the host's full thread count, on the CIFAR-scale and large-plane
-/// workloads. Restores the hardware-default thread count before returning.
+/// Measures blocked forward medians at 1 thread and at the host's full
+/// thread count, on the CIFAR-scale and large-plane workloads. Restores
+/// the hardware-default thread count before returning.
 pub fn measure_kernels(samples: usize) -> Vec<KernelRow> {
     let cores = available_cores();
     let mut thread_counts = vec![1usize];
@@ -235,17 +203,16 @@ pub fn measure_kernels(samples: usize) -> Vec<KernelRow> {
     for (label, shape) in [("cifar", DEFAULT_WORKLOAD), ("large", LARGE_WORKLOAD)] {
         for &threads in &thread_counts {
             dsx_tensor::set_num_threads(threads);
-            for backend in [BackendKind::Blocked, BackendKind::Tiled] {
-                let w = shaped_workload(shape, SccImplementation::Dsxplore, backend);
-                rows.push(KernelRow {
-                    workload: label,
-                    backend,
-                    threads,
-                    forward_ns: median_ns(samples, || {
-                        black_box(w.layer.forward(black_box(&w.input)));
-                    }),
-                });
-            }
+            let backend = BackendKind::Blocked;
+            let w = shaped_workload(shape, SccImplementation::Dsxplore, backend);
+            rows.push(KernelRow {
+                workload: label,
+                backend,
+                threads,
+                forward_ns: median_ns(samples, || {
+                    black_box(w.layer.forward(black_box(&w.input)));
+                }),
+            });
         }
     }
     dsx_tensor::set_num_threads(0);
@@ -268,7 +235,7 @@ fn fmt_ratio(ratio: Option<f64>) -> String {
 /// Renders the report as a stable, dependency-free JSON document.
 pub fn render_json(report: &Pr5Report) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"dsx-bench/pr5-scaling/1\",\n");
+    out.push_str("  \"schema\": \"dsx-bench/pr5-scaling/2\",\n");
     out.push_str(&format!("  \"cores\": {},\n", report.cores));
     out.push_str(&format!(
         "  \"pool\": {{\"launches\": {}, \"n\": {}, \"scope_spawn_ms\": {:.3}, \
@@ -297,12 +264,8 @@ pub fn render_json(report: &Pr5Report) -> String {
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"tiled_vs_blocked_equal_threads_large\": {},\n",
-        fmt_ratio(report.tiled_vs_blocked_equal_threads()),
-    ));
-    out.push_str(&format!(
-        "  \"tiled_multi_vs_blocked_single_large\": {},\n",
-        fmt_ratio(report.tiled_multi_vs_blocked_single()),
+        "  \"blocked_multi_vs_single_large\": {},\n",
+        fmt_ratio(report.blocked_multi_vs_single()),
     ));
     out.push_str("  \"serve\": [\n");
     for (i, row) in report.serve.iter().enumerate() {
@@ -313,11 +276,7 @@ pub fn render_json(report: &Pr5Report) -> String {
             if i + 1 < report.serve.len() { "," } else { "" },
         ));
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"tiled_vs_blocked_serve\": {}\n",
-        fmt_ratio(report.tiled_vs_blocked_serve()),
-    ));
+    out.push_str("  ]\n");
     out.push_str("}\n");
     out
 }
@@ -340,9 +299,8 @@ fn env_gate(name: &str) -> Option<f64> {
 }
 
 /// Writes the JSON report, prints a human summary, and enforces the
-/// `DSX_POOL_MIN_SPEEDUP` / `DSX_TILED_MIN_SPEEDUP` gates (multi-core hosts
-/// only). Exits the process with status 1 when a gate fails, so the CI
-/// perf job fails the build.
+/// `DSX_POOL_MIN_SPEEDUP` gate (multi-core hosts only). Exits the process
+/// with status 1 when the gate fails, so the CI perf job fails the build.
 pub fn finish_report(report: &Pr5Report) {
     let json = render_json(report);
     let path = json_path();
@@ -375,8 +333,8 @@ pub fn finish_report(report: &Pr5Report) {
         );
     }
     println!(
-        "  tiled vs blocked (equal threads, large): {}",
-        fmt_ratio(report.tiled_vs_blocked_equal_threads()),
+        "  blocked thread scaling (large): {}",
+        fmt_ratio(report.blocked_multi_vs_single()),
     );
     println!("  wrote {}", path.display());
 
@@ -394,41 +352,6 @@ pub fn finish_report(report: &Pr5Report) {
             println!("  pool gate passed: {got:.2}x >= {min:.2}x");
         } else {
             println!("  pool gate skipped: single-core host (pool runs inline)");
-        }
-    }
-    if let Some(min) = env_gate("DSX_TILED_MIN_SPEEDUP") {
-        if multi_core {
-            let got = report
-                .tiled_vs_blocked_equal_threads()
-                .expect("both backends were measured at full threads");
-            if got < min {
-                eprintln!(
-                    "TILED GATE FAILED: tiled forward is only {got:.2}x blocked at equal \
-                     thread count on the large-plane workload (required {min:.2}x)"
-                );
-                std::process::exit(1);
-            }
-            // The thread-scaling floor: tiled with the pool must beat the
-            // blocked backend pinned to one thread outright — the whole
-            // point of scheduling tiles across cores.
-            let vs_single = report
-                .tiled_multi_vs_blocked_single()
-                .expect("blocked was measured at one thread");
-            if vs_single < 1.0 {
-                eprintln!(
-                    "TILED GATE FAILED: tiled forward at {} threads is only {vs_single:.2}x \
-                     the single-threaded blocked backend on the large-plane workload \
-                     (required 1.00x)",
-                    report.cores,
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "  tiled gate passed: {got:.2}x >= {min:.2}x equal-threads, \
-                 {vs_single:.2}x >= 1.00x vs single-thread blocked"
-            );
-        } else {
-            println!("  tiled gate skipped: single-core host (thread scaling unmeasurable)");
         }
     }
 }
@@ -457,25 +380,13 @@ mod tests {
                     workload: "large",
                     backend: BackendKind::Blocked,
                     threads: 4,
-                    forward_ns: 2_400_000.0,
-                },
-                KernelRow {
-                    workload: "large",
-                    backend: BackendKind::Tiled,
-                    threads: 4,
                     forward_ns: 2_000_000.0,
                 },
             ],
-            serve: vec![
-                ServeRow {
-                    backend: BackendKind::Blocked,
-                    batched_rps: 300.0,
-                },
-                ServeRow {
-                    backend: BackendKind::Tiled,
-                    batched_rps: 330.0,
-                },
-            ],
+            serve: vec![ServeRow {
+                backend: BackendKind::Blocked,
+                batched_rps: 300.0,
+            }],
         }
     }
 
@@ -483,9 +394,7 @@ mod tests {
     fn ratios_divide_the_right_rows() {
         let report = fake_report();
         assert_eq!(report.pool.speedup(), 2.0);
-        assert_eq!(report.tiled_vs_blocked_equal_threads(), Some(1.2));
-        assert_eq!(report.tiled_multi_vs_blocked_single(), Some(4.0));
-        assert!((report.tiled_vs_blocked_serve().unwrap() - 1.1).abs() < 1e-9);
+        assert_eq!(report.blocked_multi_vs_single(), Some(4.0));
     }
 
     #[test]
@@ -494,18 +403,17 @@ mod tests {
         report.kernels.clear();
         report.serve.clear();
         let json = render_json(&report);
-        assert!(json.contains("\"tiled_vs_blocked_equal_threads_large\": null"));
-        assert!(json.contains("\"tiled_vs_blocked_serve\": null"));
+        assert!(json.contains("\"blocked_multi_vs_single_large\": null"));
     }
 
     #[test]
     fn json_contains_every_section_and_ratio() {
         let json = render_json(&fake_report());
-        assert!(json.contains("\"schema\": \"dsx-bench/pr5-scaling/1\""));
+        assert!(json.contains("\"schema\": \"dsx-bench/pr5-scaling/2\""));
         assert!(json.contains("\"speedup_pool_vs_spawn\": 2.000"));
-        assert!(json.contains("\"tiled_vs_blocked_equal_threads_large\": 1.200"));
-        assert!(json.contains("\"backend\": \"tiled\", \"batched_rps\": 330.0"));
-        assert_eq!(json.matches("forward_median_ns").count(), 3);
+        assert!(json.contains("\"blocked_multi_vs_single_large\": 4.000"));
+        assert!(json.contains("\"backend\": \"blocked\", \"batched_rps\": 300.0"));
+        assert_eq!(json.matches("forward_median_ns").count(), 2);
     }
 
     #[test]

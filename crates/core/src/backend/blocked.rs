@@ -97,13 +97,7 @@ impl KernelBackend for BlockedBackend {
                 let img = group_idx / cd;
                 let window = group_idx % cd;
                 let image = &in_data[img * cin * plane..(img + 1) * cin * plane];
-                forward_blocks(
-                    planes,
-                    0,
-                    &window_bases[window],
-                    image,
-                    &window_tables[window],
-                );
+                forward_blocks(planes, &window_bases[window], image, &window_tables[window]);
             },
         );
 
@@ -134,7 +128,7 @@ impl KernelBackend for BlockedBackend {
                 let img = chunk_idx / cin;
                 let ic = chunk_idx % cin;
                 let go_image = &go_data[img * cout * plane..(img + 1) * cout * plane];
-                grad_input_strip(gi_plane, 0, &reverse[ic], go_image, plane, w_data, gw);
+                grad_input_plane(gi_plane, &reverse[ic], go_image, w_data, gw);
             },
         );
         grad_input
@@ -169,7 +163,7 @@ impl KernelBackend for BlockedBackend {
                     let go_plane =
                         &go_data[(img * cout + oc) * plane..(img * cout + oc + 1) * plane];
                     let image = &in_data[img * cin * plane..(img + 1) * cin * plane];
-                    grad_weight_tap_blocks(gw_row, &ics, go_plane, image, plane, 0, plane);
+                    grad_weight_tap_blocks(gw_row, &ics, go_plane, image);
                 }
             },
         );
@@ -177,23 +171,19 @@ impl KernelBackend for BlockedBackend {
     }
 }
 
-/// Computes one spatial pass of `OCB` output-channel strips that share an
+/// Computes one spatial pass of `OCB` output-channel planes that share an
 /// input-channel window: for every [`LANES`]-wide strip, each input tile is
 /// loaded once and multiplied into `OCB` register accumulator rows.
 ///
-/// Each `block` entry is `(chunk_idx, strip)` where `strip` covers the
-/// plane's spatial range `[t0, t0 + strip.len())`. [`BlockedBackend`]
-/// passes whole planes (`t0 = 0`); the tiled backend passes cache-sized
-/// row strips.
+/// Each `block` entry is `(chunk_idx, plane)`.
 ///
 /// `wtab`/`biases` come pre-broadcast from [`build_window_tables`]
 /// (`wtab[j * OCB + b] = splat(weight[oc_b][j])`), so the hot loop is pure
 /// loads + mul/add on fixed-width arrays — no scalar broadcasts, no index
-/// arithmetic beyond `base + t0 + t`, and the only branches are the
+/// arithmetic beyond `base + t`, and the only branches are the
 /// (predictable) slice checks.
-pub(super) fn forward_block<const OCB: usize>(
+fn forward_block<const OCB: usize>(
     block: &mut [(usize, &mut [f32])],
-    t0: usize,
     bases: &[usize],
     image: &[f32],
     wtab: &[[f32; LANES]],
@@ -202,12 +192,12 @@ pub(super) fn forward_block<const OCB: usize>(
     debug_assert_eq!(block.len(), OCB);
     debug_assert_eq!(wtab.len() % OCB, 0);
     debug_assert!(biases.len() >= OCB);
-    let strip_len = block[0].1.len();
+    let plane = block[0].1.len();
     let mut t = 0usize;
-    while t + LANES <= strip_len {
+    while t + LANES <= plane {
         let mut acc = [[0.0f32; LANES]; OCB];
         for (&base, wv) in bases.iter().zip(wtab.chunks_exact(OCB)) {
-            let at = base + t0 + t;
+            let at = base + t;
             let x: [f32; LANES] = image[at..at + LANES]
                 .try_into()
                 // lint: allow(panic) — the range is LANES wide by
@@ -222,22 +212,22 @@ pub(super) fn forward_block<const OCB: usize>(
                 }
             }
         }
-        for (b, (_, out_strip)) in block.iter_mut().enumerate() {
+        for (b, (_, out_plane)) in block.iter_mut().enumerate() {
             let bias = biases[b];
-            for (dst, a) in out_strip[t..t + LANES].iter_mut().zip(acc[b]) {
+            for (dst, a) in out_plane[t..t + LANES].iter_mut().zip(acc[b]) {
                 *dst = a + bias;
             }
         }
         t += LANES;
     }
-    // Scalar tail for strip lengths that do not divide the tile width.
-    while t < strip_len {
-        for (b, (_, out_strip)) in block.iter_mut().enumerate() {
+    // Scalar tail for plane sizes that do not divide the tile width.
+    while t < plane {
+        for (b, (_, out_plane)) in block.iter_mut().enumerate() {
             let mut acc = biases[b];
             for (&base, wv) in bases.iter().zip(wtab.chunks_exact(OCB)) {
-                acc += wv[b][0] * image[base + t0 + t];
+                acc += wv[b][0] * image[base + t];
             }
-            out_strip[t] = acc;
+            out_plane[t] = acc;
         }
         t += 1;
     }
@@ -245,12 +235,11 @@ pub(super) fn forward_block<const OCB: usize>(
 
 /// Pre-broadcast forward tables for one cyclic window: for each
 /// [`OC_BLOCK`]-sized chunk of the window's output channels (in ascending
-/// `oc` order, matching the chunk order both backends hand to
-/// [`forward_blocks`]), the splat weight table
-/// (`wtab[j * len + b] = [weight[oc_b][j]; LANES]`) and bias row. Built
-/// once per forward call and reused across every image (blocked backend)
-/// and every row strip (tiled backend) that reads the window.
-pub(super) struct WindowTables {
+/// `oc` order, matching the chunk order handed to [`forward_blocks`]), the
+/// splat weight table (`wtab[j * len + b] = [weight[oc_b][j]; LANES]`) and
+/// bias row. Built once per forward call and reused across every image
+/// that reads the window.
+struct WindowTables {
     blocks: Vec<WindowBlock>,
 }
 
@@ -261,7 +250,7 @@ struct WindowBlock {
 }
 
 /// Builds the [`WindowTables`] for one window's output channels.
-pub(super) fn build_window_tables(
+fn build_window_tables(
     ocs: &[usize],
     w_data: &[f32],
     b_data: Option<&[f32]>,
@@ -287,7 +276,7 @@ pub(super) fn build_window_tables(
 
 /// [`build_window_tables`] for every window: window `w` owns output
 /// channels `oc ≡ w (mod cd)` in ascending order.
-pub(super) fn build_all_window_tables(
+fn build_all_window_tables(
     cd: usize,
     cout: usize,
     w_data: &[f32],
@@ -304,11 +293,7 @@ pub(super) fn build_all_window_tables(
 
 /// Per-tap input-channel base offsets for every window of `map`, resolved
 /// once per call.
-pub(super) fn build_window_bases(
-    map: &ChannelCycleMap,
-    cd: usize,
-    plane: usize,
-) -> Vec<Vec<usize>> {
+fn build_window_bases(map: &ChannelCycleMap, cd: usize, plane: usize) -> Vec<Vec<usize>> {
     (0..cd)
         .map(|w| {
             map.windows()[w]
@@ -320,62 +305,57 @@ pub(super) fn build_window_bases(
         .collect()
 }
 
-/// Runs [`forward_block`] over `strips` in [`OC_BLOCK`]-sized pieces using
+/// Runs [`forward_block`] over `planes` in [`OC_BLOCK`]-sized pieces using
 /// the window's pre-built tables, dispatching to the right monomorphisation
-/// for each (possibly partial) block. `strips` must list the window's
+/// for each (possibly partial) block. `planes` must list the window's
 /// output channels in the same ascending order `tables` was built from.
-/// Shared by the blocked backend (whole planes, `t0 = 0`) and the tiled
-/// backend (row strips at arbitrary `t0`).
-pub(super) fn forward_blocks(
-    strips: &mut [(usize, &mut [f32])],
-    t0: usize,
+fn forward_blocks(
+    planes: &mut [(usize, &mut [f32])],
     bases: &[usize],
     image: &[f32],
     tables: &WindowTables,
 ) {
-    let mut rest = strips;
+    let mut rest = planes;
     for block_tables in &tables.blocks {
         if rest.is_empty() {
             break;
         }
         let take = block_tables.len;
-        debug_assert!(take <= rest.len(), "tables and strips disagree");
+        debug_assert!(take <= rest.len(), "tables and planes disagree");
         let (block, tail) = rest.split_at_mut(take);
         let wtab = &block_tables.wtab;
         let biases = &block_tables.biases[..];
         match take {
-            6 => forward_block::<6>(block, t0, bases, image, wtab, biases),
-            5 => forward_block::<5>(block, t0, bases, image, wtab, biases),
-            4 => forward_block::<4>(block, t0, bases, image, wtab, biases),
-            3 => forward_block::<3>(block, t0, bases, image, wtab, biases),
-            2 => forward_block::<2>(block, t0, bases, image, wtab, biases),
-            _ => forward_block::<1>(block, t0, bases, image, wtab, biases),
+            6 => forward_block::<6>(block, bases, image, wtab, biases),
+            5 => forward_block::<5>(block, bases, image, wtab, biases),
+            4 => forward_block::<4>(block, bases, image, wtab, biases),
+            3 => forward_block::<3>(block, bases, image, wtab, biases),
+            2 => forward_block::<2>(block, bases, image, wtab, biases),
+            _ => forward_block::<1>(block, bases, image, wtab, biases),
         }
         rest = tail;
     }
-    debug_assert!(rest.is_empty(), "strips left over after the table blocks");
+    debug_assert!(rest.is_empty(), "planes left over after the table blocks");
 }
 
-/// Computes one input-gradient strip covering the plane range
-/// `[t0, t0 + gi.len())`: every covering filter's contribution is pulled
-/// into a register tile and the strip is written once (the naive kernel
-/// re-reads and re-writes the plane once per covering filter).
-pub(super) fn grad_input_strip(
+/// Computes one input-gradient plane: every covering filter's
+/// contribution is pulled into a register tile and each [`LANES`]-wide
+/// strip is written once (the naive kernel re-reads and re-writes the plane
+/// once per covering filter).
+fn grad_input_plane(
     gi: &mut [f32],
-    t0: usize,
     pairs: &[(usize, usize)],
     go_image: &[f32],
-    plane: usize,
     w_data: &[f32],
     gw: usize,
 ) {
-    let strip_len = gi.len();
+    let plane = gi.len();
     let mut t = 0usize;
-    while t + LANES <= strip_len {
+    while t + LANES <= plane {
         let mut acc = [0.0f32; LANES];
         for &(oc, offset) in pairs {
             let wj = w_data[oc * gw + offset];
-            let at = oc * plane + t0 + t;
+            let at = oc * plane + t;
             let g: [f32; LANES] = go_image[at..at + LANES]
                 .try_into()
                 // lint: allow(panic) — LANES-wide by construction (see the
@@ -388,29 +368,20 @@ pub(super) fn grad_input_strip(
         gi[t..t + LANES].copy_from_slice(&acc);
         t += LANES;
     }
-    while t < strip_len {
+    while t < plane {
         let mut acc = 0.0f32;
         for &(oc, offset) in pairs {
-            acc += w_data[oc * gw + offset] * go_image[oc * plane + t0 + t];
+            acc += w_data[oc * gw + offset] * go_image[oc * plane + t];
         }
         gi[t] = acc;
         t += 1;
     }
 }
 
-/// Accumulates one filter row's weight gradient over the plane range
-/// `[t0, t1)`, dispatching [`TAP_BLOCK`]-sized tap groups to the right
-/// [`grad_weight_taps`] monomorphisation. Shared by the blocked backend
-/// (whole planes) and the tiled backend (row strips).
-pub(super) fn grad_weight_tap_blocks(
-    gw_row: &mut [f32],
-    ics: &[usize],
-    go_plane: &[f32],
-    image: &[f32],
-    plane: usize,
-    t0: usize,
-    t1: usize,
-) {
+/// Accumulates one filter row's weight gradient over one image's plane,
+/// dispatching [`TAP_BLOCK`]-sized tap groups to the right
+/// [`grad_weight_taps`] monomorphisation.
+fn grad_weight_tap_blocks(gw_row: &mut [f32], ics: &[usize], go_plane: &[f32], image: &[f32]) {
     let gw = gw_row.len();
     let mut j = 0usize;
     while j < gw {
@@ -418,17 +389,17 @@ pub(super) fn grad_weight_tap_blocks(
         let taps = &ics[j..j + take];
         let row = &mut gw_row[j..j + take];
         match take {
-            4 => grad_weight_taps::<4>(row, taps, go_plane, image, plane, t0, t1),
-            3 => grad_weight_taps::<3>(row, taps, go_plane, image, plane, t0, t1),
-            2 => grad_weight_taps::<2>(row, taps, go_plane, image, plane, t0, t1),
-            _ => grad_weight_taps::<1>(row, taps, go_plane, image, plane, t0, t1),
+            4 => grad_weight_taps::<4>(row, taps, go_plane, image),
+            3 => grad_weight_taps::<3>(row, taps, go_plane, image),
+            2 => grad_weight_taps::<2>(row, taps, go_plane, image),
+            _ => grad_weight_taps::<1>(row, taps, go_plane, image),
         }
         j += take;
     }
 }
 
-/// Accumulates `TB` consecutive taps of one filter row over the plane range
-/// `[t0, t1)`: the `grad_output` strip is loaded once per tile and dotted
+/// Accumulates `TB` consecutive taps of one filter row over one image's
+/// plane: the `grad_output` strip is loaded once per tile and dotted
 /// against `TB` input-channel tiles, with per-tap `[f32; LANES]` partial
 /// sums reduced at the end.
 fn grad_weight_taps<const TB: usize>(
@@ -436,19 +407,16 @@ fn grad_weight_taps<const TB: usize>(
     taps: &[usize],
     go_plane: &[f32],
     image: &[f32],
-    plane: usize,
-    t0: usize,
-    t1: usize,
 ) {
     debug_assert_eq!(row.len(), TB);
     debug_assert_eq!(taps.len(), TB);
-    debug_assert!(t0 <= t1 && t1 <= plane);
+    let plane = go_plane.len();
     let mut acc = [[0.0f32; LANES]; TB];
-    let mut t = t0;
-    while t + LANES <= t1 {
+    let mut t = 0usize;
+    while t + LANES <= plane {
         let g: [f32; LANES] = go_plane[t..t + LANES]
             .try_into()
-            // lint: allow(panic) — `t + LANES <= t1` is the loop guard, so
+            // lint: allow(panic) — `t + LANES <= plane` is the loop guard, so
             // the strip is exactly LANES long.
             .expect("strip is LANES wide");
         for b in 0..TB {
@@ -465,7 +433,7 @@ fn grad_weight_taps<const TB: usize>(
         t += LANES;
     }
     let mut tails = [0.0f32; TB];
-    while t < t1 {
+    while t < plane {
         let g = go_plane[t];
         for b in 0..TB {
             tails[b] += g * image[taps[b] * plane + t];

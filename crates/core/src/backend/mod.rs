@@ -14,18 +14,10 @@
 //!   (written so LLVM autovectorizes them — no `unsafe`, no intrinsics),
 //!   and all output channels sharing one input-channel window are computed
 //!   together so every input tile loaded from memory feeds
-//!   [`OC_BLOCK`] accumulator rows.
-//! * [`TiledBackend`] — the same register-tiled inner loops, scheduled as
-//!   cache-sized `batch × channel-window × row-strip` tasks across the
-//!   persistent work-stealing pool (`dsx_tensor::pool`), with a grain-size
-//!   heuristic so small planes don't over-decompose. Tuned for large
-//!   planes on multi-core hosts; bit-identical results at any thread
-//!   count.
-//! * [`SwsumBackend`] — the sliding-window-sum (conv-as-FIR) formulation.
-//!   Its payoff is on dense spatial convolutions, where `dsx-nn`'s
-//!   `Conv2d` routes the forward pass through a per-output-row FIR kernel
-//!   with no im2col buffer; the pointwise SCC kernels delegate to the
-//!   tiled schedule (see the module docs of `swsum`).
+//!   [`OC_BLOCK`] accumulator rows. The fast path: each
+//!   `(image, channel window)` group is one task on the persistent worker
+//!   pool, so the pool's thread count decides whether it runs
+//!   single-threaded or pooled.
 //!
 //! Future SIMD-intrinsic or GPU-style backends slot under the same trait.
 //!
@@ -38,13 +30,9 @@
 
 mod blocked;
 mod naive;
-mod swsum;
-mod tiled;
 
 pub use blocked::{BlockedBackend, LANES, OC_BLOCK, TAP_BLOCK};
 pub use naive::NaiveBackend;
-pub use swsum::SwsumBackend;
-pub use tiled::{TiledBackend, TILE_F32};
 
 use crate::backward::SccGradients;
 use crate::config::SccConfig;
@@ -155,38 +143,22 @@ pub enum BackendKind {
     /// The original chunked-loop kernels (correctness oracle).
     #[default]
     Naive,
-    /// Register-blocked, autovectorized kernels.
+    /// Register-blocked, autovectorized kernels (the fast path).
     Blocked,
-    /// The blocked inner loops scheduled as cache-sized tiles across the
-    /// persistent work-stealing pool (tuned for large planes).
-    Tiled,
-    /// The sliding-window-sum (conv-as-FIR) formulation: dense `Conv2d`
-    /// layers skip im2col entirely (kernel in `dsx-nn`); the pointwise SCC
-    /// kernels delegate to the tiled schedule (see [`SwsumBackend`]).
-    Swsum,
 }
 
 static NAIVE: NaiveBackend = NaiveBackend;
 static BLOCKED: BlockedBackend = BlockedBackend;
-static TILED: TiledBackend = TiledBackend;
-static SWSUM: SwsumBackend = SwsumBackend;
 
 impl BackendKind {
     /// All backends, naive first (the oracle, and the historical default).
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::Naive,
-        BackendKind::Blocked,
-        BackendKind::Tiled,
-        BackendKind::Swsum,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Naive, BackendKind::Blocked];
 
     /// Stable lower-case name, used by `--backend` flags and bench reports.
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::Naive => "naive",
             BackendKind::Blocked => "blocked",
-            BackendKind::Tiled => "tiled",
-            BackendKind::Swsum => "swsum",
         }
     }
 
@@ -195,8 +167,6 @@ impl BackendKind {
         match self {
             BackendKind::Naive => &NAIVE,
             BackendKind::Blocked => &BLOCKED,
-            BackendKind::Tiled => &TILED,
-            BackendKind::Swsum => &SWSUM,
         }
     }
 }
@@ -213,11 +183,9 @@ impl FromStr for BackendKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "naive" => Ok(BackendKind::Naive),
-            "blocked" | "simd" => Ok(BackendKind::Blocked),
-            "tiled" | "pool" => Ok(BackendKind::Tiled),
-            "swsum" | "fir" => Ok(BackendKind::Swsum),
+            "blocked" => Ok(BackendKind::Blocked),
             other => Err(format!(
-                "unknown kernel backend '{other}' (expected one of: naive, blocked, tiled, swsum)"
+                "unknown kernel backend '{other}' (expected one of: naive, blocked)"
             )),
         }
     }
@@ -269,8 +237,13 @@ mod tests {
             assert_eq!(kind.name().parse::<BackendKind>().unwrap(), kind);
             assert_eq!(kind.backend().kind(), kind);
         }
-        assert_eq!("SIMD".parse::<BackendKind>().unwrap(), BackendKind::Blocked);
-        assert!("cuda".parse::<BackendKind>().is_err());
+        assert_eq!(
+            "BLOCKED".parse::<BackendKind>().unwrap(),
+            BackendKind::Blocked
+        );
+        for gone in ["cuda", "tiled", "swsum", "pool", "fir", "simd"] {
+            assert!(gone.parse::<BackendKind>().is_err(), "{gone}");
+        }
     }
 
     #[test]

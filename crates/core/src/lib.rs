@@ -58,7 +58,6 @@ pub mod stats;
 
 pub use backend::{
     default_backend, set_default_backend, BackendKind, BlockedBackend, KernelBackend, NaiveBackend,
-    TiledBackend,
 };
 pub use backward::{scc_backward_input_centric, scc_backward_output_centric, SccGradients};
 pub use compose::{ComposedScc, Composition};

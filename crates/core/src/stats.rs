@@ -185,16 +185,15 @@ mod tests {
     #[test]
     fn counters_are_thread_safe() {
         let s = KernelStats::new();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..4 {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     for _ in 0..1000 {
                         s.add_atomics(1);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(s.atomic_updates(), 4000);
     }
 }

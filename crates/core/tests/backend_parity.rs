@@ -1,11 +1,11 @@
 //! Cross-backend parity property suite.
 //!
-//! Asserts `BlockedBackend`, `TiledBackend` and `SwsumBackend` match `NaiveBackend` *and*
-//! the scalar reference within `TEST_TOLERANCE` (no tolerance widening)
-//! across `cg ∈ {1, 2, 4, 8}`, `co ∈ {0, 0.25, 0.33, 0.5, 0.75}`,
-//! non-square spatial dims, and plane sizes that do not divide the blocked
-//! kernel's tile width (`LANES`), plus a determinism check that the tiled
-//! backend produces bit-identical results at 1 and N pool threads.
+//! Asserts `BlockedBackend` matches `NaiveBackend` *and* the scalar
+//! reference within `TEST_TOLERANCE` (no tolerance widening) across
+//! `cg ∈ {1, 2, 4, 8}`, `co ∈ {0, 0.25, 0.33, 0.5, 0.75}`, non-square
+//! spatial dims, and plane sizes that do not divide the blocked kernel's
+//! tile width (`LANES`), plus a determinism check that the blocked backend
+//! produces bit-identical results at 1 and N pool threads.
 
 use dsx_core::backend::LANES;
 use dsx_core::reference::{scc_backward_reference, scc_forward_reference};
@@ -100,17 +100,16 @@ proptest! {
         let naive = forward_of(&case, BackendKind::Naive);
         let reference =
             scc_forward_reference(&case.cfg, &case.input, &case.weight, Some(&case.bias));
-        for kind in [BackendKind::Blocked, BackendKind::Tiled, BackendKind::Swsum] {
-            let got = forward_of(&case, kind);
-            prop_assert!(
-                allclose(&got, &naive, TEST_TOLERANCE),
-                "{kind} != naive for {:?} {h}x{w}", case.cfg
-            );
-            prop_assert!(
-                allclose(&got, &reference, TEST_TOLERANCE),
-                "{kind} != reference for {:?} {h}x{w}", case.cfg
-            );
-        }
+        let kind = BackendKind::Blocked;
+        let got = forward_of(&case, kind);
+        prop_assert!(
+            allclose(&got, &naive, TEST_TOLERANCE),
+            "{kind} != naive for {:?} {h}x{w}", case.cfg
+        );
+        prop_assert!(
+            allclose(&got, &reference, TEST_TOLERANCE),
+            "{kind} != reference for {:?} {h}x{w}", case.cfg
+        );
     }
 
     /// Backward parity: all three gradients agree across backends and with
@@ -131,15 +130,14 @@ proptest! {
         let naive = backward_of(&case, BackendKind::Naive);
         let (ref_gi, ref_gw, ref_gb) =
             scc_backward_reference(&case.cfg, &case.input, &case.weight, &case.grad_output);
-        for kind in [BackendKind::Blocked, BackendKind::Tiled, BackendKind::Swsum] {
-            let got = backward_of(&case, kind);
-            prop_assert!(allclose(&got.grad_input, &naive.grad_input, TEST_TOLERANCE), "{kind}");
-            prop_assert!(allclose(&got.grad_weight, &naive.grad_weight, TEST_TOLERANCE), "{kind}");
-            prop_assert!(allclose(&got.grad_bias, &naive.grad_bias, TEST_TOLERANCE), "{kind}");
-            prop_assert!(allclose(&got.grad_input, &ref_gi, TEST_TOLERANCE), "{kind}");
-            prop_assert!(allclose(&got.grad_weight, &ref_gw, TEST_TOLERANCE), "{kind}");
-            prop_assert!(allclose(&got.grad_bias, &ref_gb, TEST_TOLERANCE), "{kind}");
-        }
+        let kind = BackendKind::Blocked;
+        let got = backward_of(&case, kind);
+        prop_assert!(allclose(&got.grad_input, &naive.grad_input, TEST_TOLERANCE), "{kind}");
+        prop_assert!(allclose(&got.grad_weight, &naive.grad_weight, TEST_TOLERANCE), "{kind}");
+        prop_assert!(allclose(&got.grad_bias, &naive.grad_bias, TEST_TOLERANCE), "{kind}");
+        prop_assert!(allclose(&got.grad_input, &ref_gi, TEST_TOLERANCE), "{kind}");
+        prop_assert!(allclose(&got.grad_weight, &ref_gw, TEST_TOLERANCE), "{kind}");
+        prop_assert!(allclose(&got.grad_bias, &ref_gb, TEST_TOLERANCE), "{kind}");
     }
 }
 
@@ -173,34 +171,33 @@ fn parity_grid_over_cg_co_and_ragged_planes() {
                 let naive_b = BackendKind::Naive
                     .backend()
                     .backward(&cfg, &map, &input, &weight, &grad_out, None);
-                for kind in [BackendKind::Blocked, BackendKind::Tiled, BackendKind::Swsum] {
-                    let fwd = kind
-                        .backend()
-                        .forward(&cfg, &map, &input, &weight, None, None);
+                let kind = BackendKind::Blocked;
+                let fwd = kind
+                    .backend()
+                    .forward(&cfg, &map, &input, &weight, None, None);
+                assert!(
+                    allclose(&fwd, &naive_f, TEST_TOLERANCE),
+                    "{kind} forward parity fails for cg={cg} co={co} {h}x{w}"
+                );
+                let bwd = kind
+                    .backend()
+                    .backward(&cfg, &map, &input, &weight, &grad_out, None);
+                for (got, want, name) in [
+                    (&bwd.grad_input, &naive_b.grad_input, "grad_input"),
+                    (&bwd.grad_weight, &naive_b.grad_weight, "grad_weight"),
+                    (&bwd.grad_bias, &naive_b.grad_bias, "grad_bias"),
+                ] {
                     assert!(
-                        allclose(&fwd, &naive_f, TEST_TOLERANCE),
-                        "{kind} forward parity fails for cg={cg} co={co} {h}x{w}"
+                        allclose(got, want, TEST_TOLERANCE),
+                        "{kind} {name} parity fails for cg={cg} co={co} {h}x{w}"
                     );
-                    let bwd = kind
-                        .backend()
-                        .backward(&cfg, &map, &input, &weight, &grad_out, None);
-                    for (got, want, name) in [
-                        (&bwd.grad_input, &naive_b.grad_input, "grad_input"),
-                        (&bwd.grad_weight, &naive_b.grad_weight, "grad_weight"),
-                        (&bwd.grad_bias, &naive_b.grad_bias, "grad_bias"),
-                    ] {
-                        assert!(
-                            allclose(got, want, TEST_TOLERANCE),
-                            "{kind} {name} parity fails for cg={cg} co={co} {h}x{w}"
-                        );
-                    }
                 }
             }
         }
     }
 }
 
-/// Same seed, 1 pool thread vs N pool threads: the tiled backend's task
+/// Same seed, 1 pool thread vs N pool threads: the blocked backend's task
 /// decomposition (and each task's accumulation order) depends only on the
 /// shape, so forward *and* backward outputs must be bit-identical — not
 /// merely within tolerance.
@@ -210,16 +207,16 @@ fn parity_grid_over_cg_co_and_ragged_planes() {
 /// correct at any count — so the only effect is which scheduling path they
 /// exercise while this test runs.)
 #[test]
-fn tiled_results_are_bit_identical_across_pool_thread_counts() {
-    // 64x64 planes split into 4 strips each, so the pool genuinely
-    // decomposes the work instead of degenerating to one task per plane.
+fn blocked_results_are_bit_identical_across_pool_thread_counts() {
+    // 2 images x 4 channel windows of 64x64 planes: enough forward groups,
+    // input-gradient planes and filter rows to spread over 4 pool workers.
     let cfg = SccConfig::new(16, 24, 2, 0.5).unwrap();
     let map = ChannelCycleMap::build(&cfg);
     let input = Tensor::randn(&[2, 16, 64, 64], 91);
     let weight = Tensor::randn(&[24, cfg.group_width()], 92);
     let bias = Tensor::randn(&[24], 93);
     let grad_out = Tensor::randn(&[2, 24, 64, 64], 94);
-    let backend = BackendKind::Tiled.backend();
+    let backend = BackendKind::Blocked.backend();
 
     let run = || {
         let fwd = backend.forward(&cfg, &map, &input, &weight, Some(&bias), None);

@@ -2,7 +2,7 @@
 //! figure of the DSXplore paper.
 //!
 //! ```text
-//! dsx-experiments <command> [--train] [--backend <naive|blocked|tiled|swsum>]
+//! dsx-experiments <command> [--train] [--backend <naive|blocked>]
 //!                 [--save PATH] [--trace-out PATH]
 //!
 //! Commands:
@@ -227,7 +227,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             command.get_or_insert_with(|| arg.clone());
         } else {
             return Err(format!(
-                "unknown flag '{arg}' (flags: --train, --backend <naive|blocked|tiled|swsum>, --save PATH, --trace-out PATH)"
+                "unknown flag '{arg}' (flags: --train, --backend <naive|blocked>, --save PATH, --trace-out PATH)"
             ));
         }
     }

@@ -2,7 +2,7 @@
 //! PR-3 behaviour), a TCP server mode, and a network load-generator mode.
 //!
 //! ```text
-//! dsx-serve [--requests N] [--concurrency N] [--backend <naive|blocked|tiled|swsum>]
+//! dsx-serve [--requests N] [--concurrency N] [--backend <naive|blocked>]
 //!           [--max-batch N] [--max-wait-us N] [--workers N]
 //!           [--queue-capacity N] [--par-threads N] [--skip-serial]
 //!           [--adaptive] [--model PATH]
@@ -149,7 +149,7 @@ impl Default for Cli {
 }
 
 const USAGE: &str = "usage: dsx-serve [--requests N] [--concurrency N] \
-[--backend <naive|blocked|tiled|swsum>] [--max-batch N] [--max-wait-us N] [--workers N] \
+[--backend <naive|blocked>] [--max-batch N] [--max-wait-us N] [--workers N] \
 [--queue-capacity N] [--par-threads N] [--skip-serial] [--adaptive] [--model PATH] \
 [--trace-out PATH] [--stats-every S] \
 [--listen IP:PORT [--serve-secs S] [--max-conns N] [--idle-secs S] [--max-inflight N]] | \
@@ -666,8 +666,10 @@ mod tests {
 
     #[test]
     fn invalid_backend_is_a_parse_error_not_a_warning() {
-        let err = parse_cli(&args(&["--backend", "cuda"])).unwrap_err();
-        assert!(err.contains("unknown kernel backend"), "{err}");
+        for gone in ["cuda", "tiled", "swsum", "pool", "fir", "simd"] {
+            let err = parse_cli(&args(&["--backend", gone])).unwrap_err();
+            assert!(err.contains("unknown kernel backend"), "{err}");
+        }
     }
 
     #[test]

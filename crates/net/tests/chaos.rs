@@ -8,7 +8,7 @@
 //!
 //! Knobs (CI sets both):
 //! * `DSX_CHAOS_BACKEND` — kernel backend for the served model
-//!   (`naive|blocked|tiled|swsum`, default `blocked`);
+//!   (`naive|blocked`, default `blocked`);
 //! * `DSX_CHAOS_SEED` — fault-plan seed (default 42). A failing seed
 //!   replays bit-identically: the plan is a pure function of the seed.
 

@@ -10,9 +10,7 @@
 //! * [`conv::Conv2d`] — standard / grouped / depthwise / (group) pointwise
 //!   convolutions lowered to GEMM via im2col (the "library-backed" operators
 //!   the paper's baselines rely on), backend-selectable like the SCC layer:
-//!   the `blocked`/`tiled` backends run a register-tiled (pool-scheduled)
-//!   GEMM, and the `swsum` backend runs [`swsum::conv2d_swsum`] — a direct
-//!   sliding-window-sum (conv-as-FIR) kernel with no im2col buffer;
+//!   the `blocked` backend runs the register-tiled GEMM;
 //! * [`scc_layer::SccConv2d`] — the sliding-channel convolution from
 //!   `dsx-core`, usable as a drop-in replacement for the pointwise stage;
 //! * [`blocks`] — factory functions for standard and depthwise-separable
@@ -36,7 +34,6 @@ pub mod optim;
 pub mod pool;
 pub mod scc_layer;
 pub mod sequential;
-pub mod swsum;
 pub mod train;
 
 pub use activation::ReLU;
@@ -50,5 +47,4 @@ pub use optim::{Sgd, StepLr};
 pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
 pub use scc_layer::SccConv2d;
 pub use sequential::{LayerSummary, ResidualBlock, Sequential};
-pub use swsum::conv2d_swsum;
 pub use train::{data_parallel_step, evaluate, train_epoch, train_step, Batch, StepMetrics};

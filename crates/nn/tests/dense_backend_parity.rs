@@ -1,17 +1,16 @@
 //! Cross-backend parity property suite for the dense `Conv2d` layer.
 //!
 //! Mirrors `dsx-core`'s `backend_parity` suite on the dense side: every
-//! backend (naive im2col GEMM, register-tiled GEMM, pool-scheduled GEMM,
-//! sliding-window-sum) must match the direct scalar reference within
-//! `TEST_TOLERANCE` — no tolerance widening — across kernel sizes, strides,
-//! paddings, group counts, non-square spatial dims, and plane widths that
-//! do not divide the GEMM vector width. Plus bit-determinism checks: the
-//! two pool-scheduled paths (tiled GEMM, swsum FIR) must produce identical
-//! bits at 1 and N pool threads.
+//! backend (naive im2col GEMM, register-tiled GEMM) must match the direct
+//! scalar reference within `TEST_TOLERANCE` — no tolerance widening —
+//! across kernel sizes, strides, paddings, group counts, non-square spatial
+//! dims, and plane widths that do not divide the GEMM vector width. Plus a
+//! bit-determinism check: the blocked path must produce identical bits at
+//! 1 and N pool threads.
 
 use dsx_core::BackendKind;
 use dsx_nn::conv::{conv2d_reference, Conv2d};
-use dsx_nn::{conv2d_swsum, Layer};
+use dsx_nn::Layer;
 use dsx_tensor::{allclose, Tensor, TEST_TOLERANCE};
 use proptest::prelude::*;
 
@@ -109,19 +108,18 @@ proptest! {
             (grad_input, grads)
         };
         let (naive_gi, naive_grads) = run(BackendKind::Naive);
-        for backend in [BackendKind::Blocked, BackendKind::Tiled, BackendKind::Swsum] {
-            let (gi, grads) = run(backend);
+        let backend = BackendKind::Blocked;
+        let (gi, grads) = run(backend);
+        prop_assert!(
+            allclose(&gi, &naive_gi, TEST_TOLERANCE),
+            "{backend} grad_input != naive for k{kernel} s{stride} p{pad} g{groups} {h}x{w}"
+        );
+        prop_assert_eq!(grads.len(), naive_grads.len());
+        for (got, want) in grads.iter().zip(&naive_grads) {
             prop_assert!(
-                allclose(&gi, &naive_gi, TEST_TOLERANCE),
-                "{backend} grad_input != naive for k{kernel} s{stride} p{pad} g{groups} {h}x{w}"
+                allclose(got, want, TEST_TOLERANCE),
+                "{backend} param grad != naive for k{kernel} s{stride} p{pad} g{groups} {h}x{w}"
             );
-            prop_assert_eq!(grads.len(), naive_grads.len());
-            for (got, want) in grads.iter().zip(&naive_grads) {
-                prop_assert!(
-                    allclose(got, want, TEST_TOLERANCE),
-                    "{backend} param grad != naive for k{kernel} s{stride} p{pad} g{groups} {h}x{w}"
-                );
-            }
         }
     }
 }
@@ -151,15 +149,15 @@ fn parity_grid_over_ragged_planes() {
     }
 }
 
-/// Same seed, 1 pool thread vs N pool threads: both pool-scheduled dense
-/// paths — the tiled (pooled-GEMM) backend's train forward + backward and
-/// the swsum FIR forward — must be bit-identical, not merely within
-/// tolerance. 64×64 planes give the schedulers real strips to carve.
+/// Same seed, 1 pool thread vs N pool threads: the blocked backend's
+/// pool-scheduled dense paths — train forward + backward and infer — must
+/// be bit-identical, not merely within tolerance. 64×64 planes give the
+/// pool real im2col rows to split.
 #[test]
 fn pooled_dense_paths_are_bit_identical_across_thread_counts() {
     let input = Tensor::randn(&[2, 8, 64, 64], 95);
-    let run_backend = |backend: BackendKind| {
-        let mut conv = conv_for(backend, 8, 12, 3, 1, 1, 2, 96);
+    let run = || {
+        let mut conv = conv_for(BackendKind::Blocked, 8, 12, 3, 1, 1, 2, 96);
         let fwd = conv.forward(&input, true);
         let gi = conv.backward(&Tensor::randn(fwd.shape(), 97));
         let eval = conv.infer(&input);
@@ -167,45 +165,31 @@ fn pooled_dense_paths_are_bit_identical_across_thread_counts() {
         conv.visit_params(&mut |_, grad| grads.push(grad.clone()));
         (fwd, gi, eval, grads)
     };
-    for backend in [BackendKind::Tiled, BackendKind::Swsum] {
-        dsx_tensor::set_num_threads(1);
-        let (fwd_1, gi_1, eval_1, grads_1) = run_backend(backend);
-        dsx_tensor::set_num_threads(4);
-        let (fwd_n, gi_n, eval_n, grads_n) = run_backend(backend);
-        dsx_tensor::set_num_threads(0);
+    dsx_tensor::set_num_threads(1);
+    let (fwd_1, gi_1, eval_1, grads_1) = run();
+    dsx_tensor::set_num_threads(4);
+    let (fwd_n, gi_n, eval_n, grads_n) = run();
+    dsx_tensor::set_num_threads(0);
+    assert_eq!(
+        fwd_1.as_slice(),
+        fwd_n.as_slice(),
+        "train forward must be bit-identical at 1 vs 4 threads"
+    );
+    assert_eq!(
+        eval_1.as_slice(),
+        eval_n.as_slice(),
+        "infer must be bit-identical at 1 vs 4 threads"
+    );
+    assert_eq!(
+        gi_1.as_slice(),
+        gi_n.as_slice(),
+        "grad_input must be bit-identical at 1 vs 4 threads"
+    );
+    for (g1, gn) in grads_1.iter().zip(&grads_n) {
         assert_eq!(
-            fwd_1.as_slice(),
-            fwd_n.as_slice(),
-            "{backend} train forward must be bit-identical at 1 vs 4 threads"
+            g1.as_slice(),
+            gn.as_slice(),
+            "param grads must be bit-identical at 1 vs 4 threads"
         );
-        assert_eq!(
-            eval_1.as_slice(),
-            eval_n.as_slice(),
-            "{backend} infer must be bit-identical at 1 vs 4 threads"
-        );
-        assert_eq!(
-            gi_1.as_slice(),
-            gi_n.as_slice(),
-            "{backend} grad_input must be bit-identical at 1 vs 4 threads"
-        );
-        for (g1, gn) in grads_1.iter().zip(&grads_n) {
-            assert_eq!(
-                g1.as_slice(),
-                gn.as_slice(),
-                "{backend} param grads must be bit-identical at 1 vs 4 threads"
-            );
-        }
     }
-}
-
-/// The standalone swsum kernel is exercised directly (not through a layer)
-/// on a stride-2 grouped shape — the generic per-tap path, not the fused
-/// 3-tap fast path.
-#[test]
-fn standalone_swsum_kernel_matches_reference_on_strided_groups() {
-    let conv = conv_for(BackendKind::Swsum, 6, 9, 3, 2, 1, 3, 99);
-    let input = Tensor::randn(&[2, 6, 11, 9], 100);
-    let got = conv2d_swsum(&input, conv.weight(), conv.bias(), 2, 1, 3);
-    let want = conv2d_reference(&input, conv.weight(), conv.bias(), 2, 1, 3);
-    assert!(allclose(&got, &want, TEST_TOLERANCE));
 }

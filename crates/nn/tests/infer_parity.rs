@@ -16,7 +16,7 @@ const CH: usize = 8;
 
 /// The layer-type axis of the property: every `Layer` implementation in
 /// `dsx-nn`, including containers.
-const KINDS: [&str; 13] = [
+const KINDS: [&str; 12] = [
     "relu",
     "batchnorm",
     "conv",
@@ -25,7 +25,6 @@ const KINDS: [&str; 13] = [
     "pointwise-conv",
     "scc-naive",
     "scc-blocked",
-    "scc-tiled",
     "maxpool",
     "avgpool",
     "gap-flatten-linear",
@@ -50,11 +49,10 @@ fn build_case(kind: &str, batch: usize, hw: usize, seed: u64) -> (Box<dyn Layer>
         "grouped-conv" => (Box::new(Conv2d::grouped(CH, CH, 3, 2, 1, 2, seed)), shape),
         "depthwise-conv" => (Box::new(Conv2d::depthwise(CH, 3, 1, 1, seed)), shape),
         "pointwise-conv" => (Box::new(Conv2d::pointwise(CH, CH * 2, seed)), shape),
-        "scc-naive" | "scc-blocked" | "scc-tiled" => {
+        "scc-naive" | "scc-blocked" => {
             let backend = match kind {
                 "scc-naive" => BackendKind::Naive,
-                "scc-blocked" => BackendKind::Blocked,
-                _ => BackendKind::Tiled,
+                _ => BackendKind::Blocked,
             };
             let cfg = SccConfig::new(CH, CH * 2, 2, 0.5).unwrap();
             (

@@ -367,8 +367,18 @@ mod tests {
     // Tests in this binary share the global recorder; each test uses
     // unique event names and only makes additive assertions.
 
+    /// Serialises tests that flip the global [`ENABLED`] flag: the test
+    /// harness runs tests on parallel threads, so one test's
+    /// `enable(false)` would otherwise land between another's
+    /// `enable(true)` and its spans.
+    fn test_enable_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        lock(&LOCK)
+    }
+
     #[test]
     fn disabled_spans_record_nothing() {
+        let _guard = test_enable_lock();
         enable(false);
         {
             let _g = span("test", "test.disabled.span");
@@ -381,6 +391,7 @@ mod tests {
 
     #[test]
     fn enabled_spans_record_with_duration_and_tid() {
+        let _guard = test_enable_lock();
         enable(true);
         {
             let _g = span_arg("test", "test.enabled.span", "n", 7);
@@ -407,6 +418,7 @@ mod tests {
 
     #[test]
     fn span_with_skips_name_construction_when_disabled() {
+        let _guard = test_enable_lock();
         enable(false);
         let _g = span_with("test", || {
             // lint: allow(panic) — test: must not run while disabled
@@ -425,6 +437,7 @@ mod tests {
 
     #[test]
     fn spans_from_spawned_threads_get_distinct_tids() {
+        let _guard = test_enable_lock();
         enable(true);
         let handle = std::thread::Builder::new()
             .name("obs-test-worker".to_owned())
@@ -461,6 +474,7 @@ mod tests {
 
     #[test]
     fn events_are_sorted_by_start_time() {
+        let _guard = test_enable_lock();
         enable(true);
         for _ in 0..3 {
             let _g = span("test", "test.sorted.span");

@@ -14,18 +14,11 @@
 //!   arbitrary row/column range of C with `GEMM_MR × GEMM_LANES` register
 //!   accumulators, so every B strip loaded from memory feeds [`GEMM_MR`]
 //!   output rows instead of one. [`matmul_regtiled`] runs it over the full
-//!   range sequentially; [`matmul_pooled`] schedules `GEMM_MR`-aligned row
-//!   strips of it across the persistent worker pool via the ragged-tile
-//!   API ([`par::parallel_for_tile_groups_mut`]).
-//!
-//! The pooled kernel is **bit-deterministic at any thread count**: every
-//! output element is written by exactly one strip, and its accumulation
-//! order (`p` ascending over the shared dimension) is fixed by the kernel,
-//! never by the strip decomposition or which worker claims a strip.
+//!   range sequentially.
 //!
 //! `Tensor::matmul` keeps the historical size-based auto-pick
-//! ([`GemmKernel::Auto`]); callers that route dense convolutions through an
-//! explicit backend use [`Tensor::matmul_with`].
+//! ([`GemmKernel::Auto`]); the dense convolution layers on the blocked
+//! backend ask for [`GemmKernel::RegTiled`] through [`Tensor::matmul_with`].
 
 use crate::par;
 use crate::tensor::Tensor;
@@ -57,11 +50,6 @@ pub const GEMM_LANES: usize = 8;
 /// AXPY kernel lacks).
 pub const GEMM_MR: usize = 4;
 
-/// Target multiply-accumulates per pooled row strip: strips are merged until
-/// one strip amortises to at least this much work, so small GEMMs don't
-/// dissolve into per-claim scheduling overhead.
-const POOLED_STRIP_MACS: usize = 1 << 18;
-
 /// Names the GEMM execution strategy a caller wants. The dense convolution
 /// layers map their kernel backend onto one of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -70,13 +58,8 @@ pub enum GemmKernel {
     /// problems, [`matmul_parallel`] above ~1 M multiply-accumulates.
     #[default]
     Auto,
-    /// Cache-blocked sequential ikj kernel ([`matmul_blocked`]).
-    Blocked,
     /// Register-tiled sequential kernel ([`matmul_regtiled`]).
     RegTiled,
-    /// Register-tiled row strips scheduled across the persistent pool
-    /// ([`matmul_pooled`]); bit-deterministic at any thread count.
-    Pooled,
 }
 
 /// Naive reference GEMM: `C[m,n] = sum_k A[m,k] * B[k,n]`.
@@ -166,7 +149,8 @@ pub fn matmul_parallel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Ve
 /// [`GEMM_MR`]-deep register blocks and columns in [`GEMM_LANES`]-wide
 /// vector tiles with scalar tails, and every output element accumulates
 /// over `p = 0..k` in ascending order regardless of how the caller carved
-/// the ranges — which is what makes the pooled scheduling bit-deterministic.
+/// the ranges, so any split of C into ranges is bit-identical to one call
+/// over the whole of it.
 #[allow(clippy::too_many_arguments)] // a GEMM block kernel is its argument list
 pub fn matmul_block_into(
     a: &[f32],
@@ -234,61 +218,6 @@ pub fn matmul_regtiled(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Ve
     c
 }
 
-/// Pool-scheduled register-tiled GEMM: [`GEMM_MR`]-aligned row strips of
-/// [`matmul_block_into`] are scheduled across the persistent worker pool via
-/// the ragged-tile API. Results are bit-identical to [`matmul_regtiled`] at
-/// any thread count (each strip owns its rows; accumulation order is fixed
-/// by the block kernel).
-pub fn matmul_pooled(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    assert_eq!(a.len(), m * k, "A has wrong length");
-    assert_eq!(b.len(), k * n, "B has wrong length");
-    let mut c = vec![0.0f32; m * n];
-    matmul_pooled_into(a, b, &mut c, m, k, n);
-    c
-}
-
-/// [`matmul_pooled`] writing into a caller-provided (zeroed) buffer.
-pub fn matmul_pooled_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(c.len(), m * n, "C has wrong length");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let strip_rows = pooled_strip_rows(m, k, n);
-    if par::num_threads() <= 1 || strip_rows >= m {
-        matmul_block_into(a, b, c, k, n, 0, m, 0, n);
-        return;
-    }
-    // One single-tile group per row strip; strips are GEMM_MR-aligned so
-    // full register blocks never straddle a strip boundary.
-    let groups: Vec<Vec<(usize, usize)>> = (0..m.div_ceil(strip_rows))
-        .map(|s| {
-            let r0 = s * strip_rows;
-            let rows = strip_rows.min(m - r0);
-            vec![(r0 * n, rows * n)]
-        })
-        .collect();
-    par::parallel_for_tile_groups_mut(c, &groups, 1, |_group_idx, tiles| {
-        let (offset, strip) = &mut tiles[0];
-        let row0 = *offset / n;
-        let rows = strip.len() / n;
-        matmul_block_into(a, b, strip, k, n, row0, row0 + rows, 0, n);
-    });
-}
-
-/// Rows per pooled strip: enough strips for the pool to balance
-/// (~4 per worker) but each strip at least [`POOLED_STRIP_MACS`] of work and
-/// [`GEMM_MR`]-aligned so register blocks stay whole.
-fn pooled_strip_rows(m: usize, k: usize, n: usize) -> usize {
-    let row_macs = (k * n).max(1);
-    let min_rows_for_grain = POOLED_STRIP_MACS.div_ceil(row_macs);
-    let balance_rows = m.div_ceil(par::num_threads().max(1) * 4);
-    balance_rows
-        .max(min_rows_for_grain)
-        .div_ceil(GEMM_MR)
-        .max(1)
-        * GEMM_MR
-}
-
 impl Tensor {
     /// Matrix product of two rank-2 tensors.
     ///
@@ -318,9 +247,7 @@ impl Tensor {
             "gemm",
             match kernel {
                 GemmKernel::Auto => "gemm.auto",
-                GemmKernel::Blocked => "gemm.blocked",
                 GemmKernel::RegTiled => "gemm.regtiled",
-                GemmKernel::Pooled => "gemm.pooled",
             },
             "macs",
             (m * k * n) as u64,
@@ -334,9 +261,7 @@ impl Tensor {
                     matmul_blocked(a, b, m, k, n)
                 }
             }
-            GemmKernel::Blocked => matmul_blocked(a, b, m, k, n),
             GemmKernel::RegTiled => matmul_regtiled(a, b, m, k, n),
-            GemmKernel::Pooled => matmul_pooled(a, b, m, k, n),
         };
         Tensor::from_vec(data, &[m, n])
     }
@@ -440,45 +365,12 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matches_regtiled_bit_for_bit_across_thread_counts() {
-        let _guard = crate::par::test_thread_guard();
-        let (m, k, n) = (61, 33, 129);
-        let a = dense(m, k, 31);
-        let b = dense(k, n, 32);
-        let sequential = matmul_regtiled(&a, &b, m, k, n);
-        crate::par::set_num_threads(1);
-        let single = matmul_pooled(&a, &b, m, k, n);
-        crate::par::set_num_threads(4);
-        let pooled = matmul_pooled(&a, &b, m, k, n);
-        crate::par::set_num_threads(0);
-        for ((s, one), many) in sequential.iter().zip(single.iter()).zip(pooled.iter()) {
-            assert_eq!(s.to_bits(), one.to_bits());
-            assert_eq!(s.to_bits(), many.to_bits());
-        }
-    }
-
-    #[test]
-    fn pooled_strip_rows_are_mr_aligned_and_positive() {
-        for (m, k, n) in [(1usize, 1usize, 1usize), (64, 288, 16384), (128, 4, 4)] {
-            let rows = pooled_strip_rows(m, k, n);
-            assert!(rows >= 1);
-            assert_eq!(rows % GEMM_MR, 0);
-        }
-    }
-
-    #[test]
     fn matmul_with_agrees_across_kernels() {
         let a = Tensor::randn(&[13, 17], 41);
         let b = Tensor::randn(&[17, 19], 42);
         let reference = a.matmul_with(&b, GemmKernel::Auto);
-        for kernel in [
-            GemmKernel::Blocked,
-            GemmKernel::RegTiled,
-            GemmKernel::Pooled,
-        ] {
-            let got = a.matmul_with(&b, kernel);
-            assert!(allclose(&got, &reference, 1e-4), "{kernel:?}");
-        }
+        let got = a.matmul_with(&b, GemmKernel::RegTiled);
+        assert!(allclose(&got, &reference, 1e-4));
     }
 
     #[test]

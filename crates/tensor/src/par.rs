@@ -139,7 +139,7 @@ impl SharedMutF32 {
     /// disjointness contract replaces the borrow checker here).
     #[allow(clippy::mut_from_ref)]
     unsafe fn slice_mut(&self, offset: usize, len: usize) -> &mut [f32] {
-        debug_assert!(offset + len <= self.len, "tile out of bounds");
+        debug_assert!(offset + len <= self.len, "chunk out of bounds");
         // SAFETY: forwarding the caller's contract — the range is in bounds
         // of the buffer `ptr`/`len` describe and no other live reference
         // overlaps it.
@@ -298,83 +298,6 @@ pub fn parallel_for_each_chunk_group_mut<G, F>(
         for (group_idx, slot) in slots.iter().enumerate().take(end).skip(start) {
             let mut group = slot.lock();
             body(group_idx, &mut group);
-        }
-    });
-}
-
-/// Splits `out` into the caller-described disjoint tiles of `groups`
-/// (`groups[g]` lists that group's tiles as `(offset, len)` pairs) and runs
-/// `body(group_index, tiles_of_that_group)` with each group handled by
-/// exactly one worker; `grain` batches that many groups per pool claim.
-///
-/// This is the ragged companion to [`parallel_for_each_chunk_group_mut`]
-/// for kernels whose unit of work is a *sub-range* of a chunk — e.g. the
-/// tiled SCC backend splits each output plane into cache-sized row strips,
-/// and the final strip of a ragged plane is shorter than the rest, so no
-/// uniform `chunk_len` exists. Tiles are validated to be in-bounds and
-/// pairwise disjoint before any body runs (an `O(T log T)` sort over the
-/// tile list — negligible next to kernel work); overlapping or out-of-range
-/// tiles panic. Each tile is passed as `(offset, slice)` so the body can
-/// recover its coordinates from the offset alone.
-pub fn parallel_for_tile_groups_mut<F>(
-    out: &mut [f32],
-    groups: &[Vec<(usize, usize)>],
-    grain: usize,
-    body: F,
-) where
-    F: Fn(usize, &mut [(usize, &mut [f32])]) + Sync,
-{
-    if groups.is_empty() {
-        return;
-    }
-    let mut all: Vec<(usize, usize)> = groups
-        .iter()
-        .flatten()
-        .copied()
-        .filter(|&(_, len)| len > 0)
-        .collect();
-    all.sort_unstable();
-    for pair in all.windows(2) {
-        let (prev_off, prev_len) = pair[0];
-        let (next_off, _) = pair[1];
-        assert!(
-            prev_off + prev_len <= next_off,
-            "parallel_for_tile_groups_mut: tile [{prev_off}, {}) overlaps the tile starting \
-             at {next_off}; tiles must be pairwise disjoint",
-            prev_off + prev_len,
-        );
-    }
-    if let Some(&(last_off, last_len)) = all.last() {
-        assert!(
-            last_off + last_len <= out.len(),
-            "parallel_for_tile_groups_mut: tile [{last_off}, {}) exceeds the {}-element \
-             output buffer",
-            last_off + last_len,
-            out.len(),
-        );
-    }
-    let base = SharedMutF32::new(out);
-    let run_group = |group_idx: usize| {
-        let mut tiles: Vec<(usize, &mut [f32])> = groups[group_idx]
-            .iter()
-            .map(|&(offset, len)| {
-                // SAFETY: tiles were validated pairwise disjoint and
-                // in-bounds above, and each group index is visited exactly
-                // once (sequentially below, or claimed once by the pool).
-                (offset, unsafe { base.slice_mut(offset, len) })
-            })
-            .collect();
-        body(group_idx, &mut tiles);
-    };
-    if num_threads() <= 1 || groups.len() <= 1 {
-        for group_idx in 0..groups.len() {
-            run_group(group_idx);
-        }
-        return;
-    }
-    pool::run(groups.len(), grain.max(1), |start, end| {
-        for group_idx in start..end {
-            run_group(group_idx);
         }
     });
 }
@@ -642,65 +565,6 @@ mod tests {
             |idx| if idx == 1 { 7 } else { 0 },
             |_, _| {},
         );
-    }
-
-    #[test]
-    fn tile_groups_mut_writes_ragged_disjoint_tiles() {
-        // A 10-element buffer split into ragged tiles across 3 groups,
-        // deliberately not in offset order and with an empty tile.
-        let mut data = vec![0.0f32; 10];
-        let groups = vec![
-            vec![(7usize, 3usize), (0, 2)],
-            vec![(2, 3)],
-            vec![(5, 2), (5, 0)],
-        ];
-        parallel_for_tile_groups_mut(&mut data, &groups, 1, |group_idx, tiles| {
-            for (offset, tile) in tiles.iter_mut() {
-                for (k, v) in tile.iter_mut().enumerate() {
-                    *v = (group_idx * 100 + *offset + k) as f32;
-                }
-            }
-        });
-        assert_eq!(
-            data,
-            vec![0.0, 1.0, 102.0, 103.0, 104.0, 205.0, 206.0, 7.0, 8.0, 9.0]
-        );
-    }
-
-    #[test]
-    fn tile_groups_mut_works_through_the_pool() {
-        let _guard = test_thread_guard();
-        set_num_threads(4);
-        let n = 4096;
-        let mut data = vec![0.0f32; n];
-        let groups: Vec<Vec<(usize, usize)>> = (0..64).map(|g| vec![(g * 64, 64)]).collect();
-        parallel_for_tile_groups_mut(&mut data, &groups, 4, |_g, tiles| {
-            for (offset, tile) in tiles.iter_mut() {
-                for (k, v) in tile.iter_mut().enumerate() {
-                    *v = (*offset + k) as f32;
-                }
-            }
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i as f32);
-        }
-        set_num_threads(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlaps the tile starting at 4")]
-    fn tile_groups_mut_rejects_overlapping_tiles() {
-        let mut data = vec![0.0f32; 10];
-        let groups = vec![vec![(0usize, 6usize)], vec![(4, 2)]];
-        parallel_for_tile_groups_mut(&mut data, &groups, 1, |_, _| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the 4-element output buffer")]
-    fn tile_groups_mut_rejects_out_of_bounds_tiles() {
-        let mut data = vec![0.0f32; 4];
-        let groups = vec![vec![(2usize, 4usize)]];
-        parallel_for_tile_groups_mut(&mut data, &groups, 1, |_, _| {});
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The one subcommand today is `lint`: a concurrency-correctness static
 //! analysis purpose-built for this codebase (see [`lints`] for the rule
 //! table). PRs 5–7 concentrated the system's risk into a small amount of
-//! `unsafe` concurrent code — the work-stealing pool, the `SharedMutF32`
-//! raw-pointer seam, the pooled GEMM — and these lints are the
+//! `unsafe` concurrent code — the work-stealing pool and the
+//! `SharedMutF32` raw-pointer seam — and these lints are the
 //! machine-enforced floor under it: every `unsafe` justified, every weak
 //! atomic ordering argued, library code panic-free unless a human signed
 //! off, clean crates locked clean, and all parallelism routed through the
