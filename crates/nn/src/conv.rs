@@ -3,17 +3,21 @@
 //! These are the "off-the-shelf" convolution operators the paper's baselines
 //! are built from. They are lowered to GEMM via `im2col` per channel group —
 //! the same lowering cuDNN uses for the library-backed PyTorch operators the
-//! paper compares against. The sliding-channel convolution deliberately does
-//! *not* use this path (see `dsx-core`).
+//! paper compares against — except for depthwise convolutions on `blocked`,
+//! which run the direct per-plane FIR kernels in `conv/depthwise.rs`. The
+//! sliding-channel convolution deliberately does *not* use this path (see
+//! `dsx-core`).
 //!
 //! Like [`crate::scc_layer::SccConv2d`], the layer carries a
 //! [`BackendKind`] (defaulting to the process-wide
 //! [`dsx_core::default_backend`]) that selects the execution strategy:
 //!
-//! | backend   | dense `Conv2d` path                                        |
-//! |-----------|------------------------------------------------------------|
-//! | `naive`   | im2col + the historical size-picked GEMM                   |
-//! | `blocked` | im2col + the register-tiled GEMM, single caller thread     |
+//! | backend   | depthwise (`groups == cin == cout`)   | dense and grouped `Conv2d`       |
+//! |-----------|---------------------------------------|----------------------------------|
+//! | `naive`   | im2col + the historical size-picked GEMM, one group at a time (the oracle) | same |
+//! | `blocked` | direct FIR kernel, one pool launch per layer, no im2col | im2col + the register-tiled GEMM |
+
+mod depthwise;
 
 use crate::layer::Layer;
 use dsx_core::{default_backend, BackendKind};
@@ -35,9 +39,20 @@ pub struct Conv2d {
     bias: Option<Tensor>,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    // Cached per-group im2col matrices and the input shape from forward.
-    cached_cols: Vec<Tensor>,
-    cached_input_shape: Vec<usize>,
+    // What the last training forward kept; `None` after an eval forward.
+    cache: Option<ForwardCache>,
+}
+
+/// What a training forward keeps for backward.
+enum ForwardCache {
+    /// The im2col path: one lowered matrix per group, plus the input shape.
+    Cols {
+        cols: Vec<Tensor>,
+        input_shape: Vec<usize>,
+    },
+    /// The direct depthwise path: the input itself, `K²` times smaller
+    /// than its im2col matrix.
+    Input(Tensor),
 }
 
 impl Conv2d {
@@ -92,8 +107,7 @@ impl Conv2d {
             weight,
             bias: Some(Tensor::zeros(&[cout])),
             grad_bias: Tensor::zeros(&[cout]),
-            cached_cols: Vec::new(),
-            cached_input_shape: Vec::new(),
+            cache: None,
         }
     }
 
@@ -166,6 +180,12 @@ impl Conv2d {
         }
     }
 
+    /// Whether this layer runs the direct depthwise kernels: a depthwise
+    /// shape on the `blocked` backend.
+    fn direct_depthwise(&self) -> bool {
+        self.backend == BackendKind::Blocked && self.groups == self.cin && self.cout == self.cin
+    }
+
     fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
         (
             conv_out_size(h, self.kernel, self.stride, self.pad),
@@ -173,12 +193,21 @@ impl Conv2d {
         )
     }
 
-    /// The im2col + GEMM forward computation, shared by the training path
-    /// (which keeps each group's lowered matrix for backward via `cache`)
-    /// and the cache-free `infer` path.
-    fn run_forward(&self, input: &Tensor, mut cache: Option<&mut Vec<Tensor>>) -> Tensor {
+    /// The forward computation, shared by the training path (`train`: also
+    /// returns what backward needs) and the cache-free `infer` path.
+    fn run_forward(&self, input: &Tensor, train: bool) -> (Tensor, Option<ForwardCache>) {
         assert_eq!(input.rank(), 4, "Conv2d expects NCHW input");
         assert_eq!(input.dim(1), self.cin, "Conv2d channel mismatch");
+        if self.direct_depthwise() {
+            let output = depthwise::forward(
+                input,
+                &self.weight,
+                self.bias.as_ref(),
+                self.stride,
+                self.pad,
+            );
+            return (output, train.then(|| ForwardCache::Input(input.clone())));
+        }
         let (n, h, w) = (input.dim(0), input.dim(2), input.dim(3));
         let (oh, ow) = self.out_hw(h, w);
         let cin_g = self.cin / self.groups;
@@ -187,6 +216,7 @@ impl Conv2d {
 
         let mut output = Tensor::zeros(&[n, self.cout, oh, ow]);
         let out_plane = oh * ow;
+        let mut cached_cols = Vec::new();
         for g in 0..self.groups {
             // Slice this group's input channels and lower them.
             let group_input = if self.groups == 1 {
@@ -213,73 +243,35 @@ impl Conv2d {
                     out_data[dst_base..dst_base + out_plane].copy_from_slice(src);
                 }
             }
-            if let Some(cache) = cache.as_deref_mut() {
-                cache.push(cols);
+            if train {
+                cached_cols.push(cols);
             }
         }
         if let Some(bias) = &self.bias {
             output.add_bias_nchw(bias);
         }
-        output
-    }
-}
-
-impl Layer for Conv2d {
-    fn name(&self) -> String {
-        if self.groups == 1 && self.kernel == 1 {
-            format!("PointwiseConv({}->{})", self.cin, self.cout)
-        } else if self.groups == self.cin && self.cout == self.cin {
-            format!("DepthwiseConv({}, k{})", self.cin, self.kernel)
-        } else if self.groups > 1 {
-            format!(
-                "GroupConv({}->{}, k{}, g{})",
-                self.cin, self.cout, self.kernel, self.groups
-            )
-        } else {
-            format!("Conv2d({}->{}, k{})", self.cin, self.cout, self.kernel)
-        }
+        let cache = train.then(|| ForwardCache::Cols {
+            cols: cached_cols,
+            input_shape: input.shape().to_vec(),
+        });
+        (output, cache)
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        self.cached_cols.clear();
-        self.cached_input_shape.clear();
-        if !train {
-            return self.run_forward(input, None);
-        }
-        self.cached_input_shape = input.shape().to_vec();
-        // Move the cache out so the shared `&self` helper can fill it.
-        let mut cols = std::mem::take(&mut self.cached_cols);
-        let output = self.run_forward(input, Some(&mut cols));
-        self.cached_cols = cols;
-        output
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        self.run_forward(input, None)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert!(
-            !self.cached_cols.is_empty(),
-            "Conv2d::backward called before forward"
-        );
-        let input_shape = self.cached_input_shape.clone();
+    /// The im2col + GEMM backward over the matrices a training forward kept.
+    fn backward_gemm(
+        &mut self,
+        cached_cols: &[Tensor],
+        input_shape: &[usize],
+        grad_output: &Tensor,
+    ) -> Tensor {
         let (n, h, w) = (input_shape[0], input_shape[2], input_shape[3]);
         let (oh, ow) = self.out_hw(h, w);
         let cin_g = self.cin / self.groups;
         let cout_g = self.cout / self.groups;
         let k2 = self.kernel * self.kernel;
         let out_plane = oh * ow;
-        assert_eq!(grad_output.shape(), &[n, self.cout, oh, ow]);
-
-        // Bias gradient.
-        if self.bias.is_some() {
-            let gb = grad_output.sum_per_channel();
-            self.grad_bias.add_assign(&gb);
-        }
-
-        let mut grad_input = Tensor::zeros(&input_shape);
-        for g in 0..self.groups {
+        let mut grad_input = Tensor::zeros(input_shape);
+        for (g, cols) in cached_cols.iter().enumerate() {
             // Re-pack this group's grad_output into [cout_g, n * oh * ow].
             let mut go_mat = Tensor::zeros(&[cout_g, n * out_plane]);
             {
@@ -294,7 +286,6 @@ impl Layer for Conv2d {
                     }
                 }
             }
-            let cols = &self.cached_cols[g];
             // grad_W = grad_out_mat * cols^T
             let gw_mat = go_mat.matmul_with(&cols.transpose2(), self.gemm_kernel()); // [cout_g, cin_g * k2]
             let w_start = g * cout_g * cin_g * k2;
@@ -332,6 +323,78 @@ impl Layer for Conv2d {
                 }
             }
         }
+        grad_input
+    }
+}
+
+impl Layer for Conv2d {
+    fn name(&self) -> String {
+        if self.groups == 1 && self.kernel == 1 {
+            format!("PointwiseConv({}->{})", self.cin, self.cout)
+        } else if self.groups == self.cin && self.cout == self.cin {
+            format!("DepthwiseConv({}, k{})", self.cin, self.kernel)
+        } else if self.groups > 1 {
+            format!(
+                "GroupConv({}->{}, k{}, g{})",
+                self.cin, self.cout, self.kernel, self.groups
+            )
+        } else {
+            format!("Conv2d({}->{}, k{})", self.cin, self.cout, self.kernel)
+        }
+    }
+
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        // Drop the previous cache first so it is not alive beside the new one.
+        self.cache = None;
+        let (output, cache) = self.run_forward(input, train);
+        self.cache = cache;
+        output
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
+        self.run_forward(input, false).0
+    }
+
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        let Some(cache) = self.cache.take() else {
+            // lint: allow(panic) — backward without a training forward is a caller bug.
+            panic!("Conv2d::backward called before forward");
+        };
+        let input_shape = match &cache {
+            ForwardCache::Cols { input_shape, .. } => input_shape,
+            ForwardCache::Input(input) => input.shape(),
+        };
+        let (oh, ow) = self.out_hw(input_shape[2], input_shape[3]);
+        assert_eq!(grad_output.shape(), &[input_shape[0], self.cout, oh, ow]);
+
+        // Bias gradient.
+        if self.bias.is_some() {
+            let gb = grad_output.sum_per_channel();
+            self.grad_bias.add_assign(&gb);
+        }
+
+        let grad_input = match &cache {
+            ForwardCache::Cols { cols, input_shape } => {
+                self.backward_gemm(cols, input_shape, grad_output)
+            }
+            ForwardCache::Input(input) => {
+                depthwise::backward_weight(
+                    input,
+                    grad_output,
+                    &mut self.grad_weight,
+                    self.stride,
+                    self.pad,
+                );
+                depthwise::backward_input(
+                    grad_output,
+                    &self.weight,
+                    input.shape(),
+                    self.stride,
+                    self.pad,
+                )
+            }
+        };
+        self.cache = Some(cache);
         grad_input
     }
 
@@ -497,27 +560,59 @@ mod tests {
     }
 
     #[test]
-    fn weight_gradient_matches_numerical() {
-        let mut conv = Conv2d::new(2, 2, 3, 1, 1, 51).without_bias();
-        let input = Tensor::randn(&[1, 2, 4, 4], 6);
+    fn input_gradient_is_correct_depthwise_direct() {
+        for stride in [1, 2] {
+            let mut conv =
+                Conv2d::depthwise(3, 3, stride, 1, 64).with_backend(BackendKind::Blocked);
+            assert!(conv.direct_depthwise());
+            check_input_gradient(&mut conv, &[2, 3, 6, 5], 2e-2);
+            assert!(
+                matches!(conv.cache, Some(ForwardCache::Input(_))),
+                "the direct path caches its input, not im2col matrices"
+            );
+        }
+    }
+
+    /// Central-difference check of `grad_weight` (loss = sum of outputs)
+    /// against the scalar reference at the probed weight indices.
+    fn check_weight_gradient(mut conv: Conv2d, input_shape: &[usize], probes: &[usize]) {
+        let input = Tensor::randn(input_shape, 6);
         let out = conv.forward(&input, true);
         let grad_out = Tensor::ones(out.shape());
         conv.backward(&grad_out);
         let analytic = conv.grad_weight.clone();
 
+        let (stride, pad, groups) = (conv.stride, conv.pad, conv.groups);
         let eps = 1e-2f32;
-        for &idx in &[0usize, 7, 17, 35] {
+        for &idx in probes {
             let mut wp = conv.weight.clone();
             wp.as_mut_slice()[idx] += eps;
             let mut wm = conv.weight.clone();
             wm.as_mut_slice()[idx] -= eps;
-            let lp = conv2d_reference(&input, &wp, None, 1, 1, 1).sum();
-            let lm = conv2d_reference(&input, &wm, None, 1, 1, 1).sum();
+            let lp = conv2d_reference(&input, &wp, None, stride, pad, groups).sum();
+            let lm = conv2d_reference(&input, &wm, None, stride, pad, groups).sum();
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
                 (numeric - analytic.as_slice()[idx]).abs() < 5e-2,
-                "weight grad mismatch at {idx}"
+                "{}: weight grad mismatch at {idx}",
+                conv.name()
             );
+        }
+    }
+
+    #[test]
+    fn weight_gradient_matches_numerical() {
+        let conv = Conv2d::new(2, 2, 3, 1, 1, 51).without_bias();
+        check_weight_gradient(conv, &[1, 2, 4, 4], &[0, 7, 17, 35]);
+    }
+
+    #[test]
+    fn depthwise_direct_weight_gradient_matches_numerical() {
+        for stride in [1, 2] {
+            let conv = Conv2d::depthwise(3, 3, stride, 1, 65)
+                .without_bias()
+                .with_backend(BackendKind::Blocked);
+            check_weight_gradient(conv, &[2, 3, 5, 6], &[0, 4, 8, 13, 26]);
         }
     }
 
@@ -547,17 +642,20 @@ mod tests {
 
     #[test]
     fn infer_matches_eval_forward_without_caching() {
-        for mut conv in [
-            Conv2d::new(3, 8, 3, 1, 1, 60),
-            Conv2d::grouped(8, 12, 3, 2, 1, 4, 61),
-            Conv2d::depthwise(6, 3, 1, 1, 62),
-            Conv2d::pointwise(4, 10, 63),
-        ] {
+        for mut conv in BackendKind::ALL.into_iter().flat_map(|backend| {
+            [
+                Conv2d::new(3, 8, 3, 1, 1, 60),
+                Conv2d::grouped(8, 12, 3, 2, 1, 4, 61),
+                Conv2d::depthwise(6, 3, 1, 1, 62),
+                Conv2d::pointwise(4, 10, 63),
+            ]
+            .map(|conv| conv.with_backend(backend))
+        }) {
             let cin = conv.cin;
             check_infer_parity(&mut conv, &[2, cin, 6, 6], TEST_TOLERANCE);
             assert!(
-                conv.cached_cols.is_empty() && conv.cached_input_shape.is_empty(),
-                "eval forward must not cache im2col matrices"
+                conv.cache.is_none(),
+                "eval forward must not cache im2col matrices or the input"
             );
         }
     }

@@ -149,47 +149,112 @@ fn parity_grid_over_ragged_planes() {
     }
 }
 
+/// Deterministic depthwise sweep (`groups == cin == cout`, the shape the
+/// `blocked` backend runs through its direct kernels) at batch 2: train
+/// forward, infer and every gradient on `blocked` against `naive`, and the
+/// forward against the scalar reference, including paddings at or past the
+/// plane edge.
+#[test]
+fn depthwise_parity_grid() {
+    let planes = [(1usize, 1usize), (2, 2), (7, 5), (9, 9)];
+    for cin in [1usize, 3, 8] {
+        for kernel in [1usize, 3, 5] {
+            for stride in [1usize, 2] {
+                for pad in [0usize, 1, 2] {
+                    for (h, w) in planes {
+                        if h + 2 * pad < kernel || w + 2 * pad < kernel {
+                            continue; // empty output plane
+                        }
+                        let case = format!("c{cin} k{kernel} s{stride} p{pad} {h}x{w}");
+                        let seed = (cin * 1000 + kernel * 100 + stride * 10 + pad + h * w) as u64;
+                        let input = Tensor::randn(&[2, cin, h, w], seed);
+                        let run = |backend: BackendKind| {
+                            let mut conv = conv_for(backend, cin, cin, kernel, stride, pad, cin, 7);
+                            let fwd = conv.forward(&input, true);
+                            let gi = conv.backward(&Tensor::randn(fwd.shape(), seed + 1));
+                            let eval = conv.infer(&input);
+                            let want = conv2d_reference(
+                                &input,
+                                conv.weight(),
+                                conv.bias(),
+                                stride,
+                                pad,
+                                cin,
+                            );
+                            let mut grads = Vec::new();
+                            conv.visit_params(&mut |_, grad| grads.push(grad.clone()));
+                            (fwd, eval, want, gi, grads)
+                        };
+                        let (naive_fwd, naive_eval, _, naive_gi, naive_grads) =
+                            run(BackendKind::Naive);
+                        let (fwd, eval, want, gi, grads) = run(BackendKind::Blocked);
+                        for (what, got, oracle) in [
+                            ("train forward vs reference", &fwd, &want),
+                            ("infer vs reference", &eval, &want),
+                            ("train forward vs naive", &fwd, &naive_fwd),
+                            ("infer vs naive", &eval, &naive_eval),
+                            ("grad_input vs naive", &gi, &naive_gi),
+                            ("grad_weight vs naive", &grads[0], &naive_grads[0]),
+                            ("grad_bias vs naive", &grads[1], &naive_grads[1]),
+                        ] {
+                            assert!(
+                                allclose(got, oracle, TEST_TOLERANCE),
+                                "blocked depthwise {what} fails for {case}: max diff {}",
+                                dsx_tensor::max_abs_diff(got, oracle)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Same seed, 1 pool thread vs N pool threads: the blocked backend's
 /// pool-scheduled dense paths — train forward + backward and infer — must
 /// be bit-identical, not merely within tolerance. 64×64 planes give the
-/// pool real im2col rows to split.
+/// pool real im2col rows to split; the depthwise layer runs the direct
+/// kernels, whose planes and weight rows the pool spreads instead.
 #[test]
 fn pooled_dense_paths_are_bit_identical_across_thread_counts() {
     let input = Tensor::randn(&[2, 8, 64, 64], 95);
-    let run = || {
-        let mut conv = conv_for(BackendKind::Blocked, 8, 12, 3, 1, 1, 2, 96);
-        let fwd = conv.forward(&input, true);
-        let gi = conv.backward(&Tensor::randn(fwd.shape(), 97));
-        let eval = conv.infer(&input);
-        let mut grads = Vec::new();
-        conv.visit_params(&mut |_, grad| grads.push(grad.clone()));
-        (fwd, gi, eval, grads)
-    };
-    dsx_tensor::set_num_threads(1);
-    let (fwd_1, gi_1, eval_1, grads_1) = run();
-    dsx_tensor::set_num_threads(4);
-    let (fwd_n, gi_n, eval_n, grads_n) = run();
-    dsx_tensor::set_num_threads(0);
-    assert_eq!(
-        fwd_1.as_slice(),
-        fwd_n.as_slice(),
-        "train forward must be bit-identical at 1 vs 4 threads"
-    );
-    assert_eq!(
-        eval_1.as_slice(),
-        eval_n.as_slice(),
-        "infer must be bit-identical at 1 vs 4 threads"
-    );
-    assert_eq!(
-        gi_1.as_slice(),
-        gi_n.as_slice(),
-        "grad_input must be bit-identical at 1 vs 4 threads"
-    );
-    for (g1, gn) in grads_1.iter().zip(&grads_n) {
+    for (cout, stride, groups) in [(12usize, 1usize, 2usize), (8, 2, 8)] {
+        let run = || {
+            let mut conv = conv_for(BackendKind::Blocked, 8, cout, 3, stride, 1, groups, 96);
+            let fwd = conv.forward(&input, true);
+            let gi = conv.backward(&Tensor::randn(fwd.shape(), 97));
+            let eval = conv.infer(&input);
+            let mut grads = Vec::new();
+            conv.visit_params(&mut |_, grad| grads.push(grad.clone()));
+            (fwd, gi, eval, grads)
+        };
+        dsx_tensor::set_num_threads(1);
+        let (fwd_1, gi_1, eval_1, grads_1) = run();
+        dsx_tensor::set_num_threads(4);
+        let (fwd_n, gi_n, eval_n, grads_n) = run();
+        dsx_tensor::set_num_threads(0);
+        let layer = format!("groups {groups}, stride {stride}");
         assert_eq!(
-            g1.as_slice(),
-            gn.as_slice(),
-            "param grads must be bit-identical at 1 vs 4 threads"
+            fwd_1.as_slice(),
+            fwd_n.as_slice(),
+            "{layer}: train forward must be bit-identical at 1 vs 4 threads"
         );
+        assert_eq!(
+            eval_1.as_slice(),
+            eval_n.as_slice(),
+            "{layer}: infer must be bit-identical at 1 vs 4 threads"
+        );
+        assert_eq!(
+            gi_1.as_slice(),
+            gi_n.as_slice(),
+            "{layer}: grad_input must be bit-identical at 1 vs 4 threads"
+        );
+        for (g1, gn) in grads_1.iter().zip(&grads_n) {
+            assert_eq!(
+                g1.as_slice(),
+                gn.as_slice(),
+                "{layer}: param grads must be bit-identical at 1 vs 4 threads"
+            );
+        }
     }
 }

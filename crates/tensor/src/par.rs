@@ -22,6 +22,7 @@
 use crate::pool;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Global worker-thread count override. 0 means "not set, use the hardware
 /// default".
@@ -48,15 +49,23 @@ pub fn set_num_threads(n: usize) {
     pool::shutdown();
 }
 
-/// Current number of worker threads [`parallel_for`] will use.
+/// Current number of worker threads [`parallel_for`] will use: the
+/// [`set_num_threads`] override, or the hardware count when none is set.
+///
+/// This is a hot path: every `parallel_*` entry point and every pool launch
+/// call it. On Linux `std::thread::available_parallelism` re-reads cgroup
+/// and proc files on each call (about 13 µs), so the hardware count is read
+/// once per process and kept.
 pub fn num_threads() -> usize {
-    let configured = NUM_THREADS.load(Ordering::SeqCst);
-    if configured != 0 {
-        return configured;
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    match NUM_THREADS.load(Ordering::SeqCst) {
+        0 => *HARDWARE.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        }),
+        configured => configured,
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Minimum number of iterations per claimed chunk; below this the loop runs
@@ -594,6 +603,21 @@ mod tests {
         let pooled = reduce();
         set_num_threads(0);
         assert_eq!(single.to_bits(), pooled.to_bits());
+    }
+
+    #[test]
+    fn zero_override_returns_to_the_hardware_count() {
+        let _guard = test_thread_guard();
+        let original = NUM_THREADS.load(Ordering::SeqCst);
+        let hardware = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        set_num_threads(0);
+        assert_eq!(num_threads(), hardware);
+        set_num_threads(3);
+        set_num_threads(0);
+        assert_eq!(num_threads(), hardware);
+        set_num_threads(original);
     }
 
     #[test]
